@@ -46,8 +46,12 @@ def _space_triple(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
+# arguments that do not change a result: where it goes and how many workers
+_NOT_CONFIG = {"func", "out", "report", "jobs"}
+
+
 def _config_digest(args: argparse.Namespace) -> str:
-    payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    payload = {k: v for k, v in sorted(vars(args).items()) if k not in _NOT_CONFIG}
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -10,7 +10,8 @@ upper-bound the nonlinearity and accumulate non-existence evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
 
@@ -46,6 +47,7 @@ class GeneratorMatrix:
         return len(self.rows)
 
 
+@lru_cache(maxsize=None)
 def rm_generator_matrix(k: int, m: int) -> GeneratorMatrix:
     if not 0 <= k <= m:
         raise ValueError(f"order must be within 0..{m}")
@@ -110,62 +112,53 @@ def nl_probe(
     generator matrix and keep f inside its original coset, so every recorded
     weight upper-bounds the nonlinearity.  Stops as soon as a weight at most
     ``limit`` appears.
+
+    This is ``probe_batch`` on a batch of one: a batch probed with
+    ``Random(s)`` gives every function exactly the result of ``nl_probe``
+    on it alone with ``Random(s)``.
     """
     if f.m != m:
         raise ValueError("dimension mismatch")
+    return probe_batch(k, m, [f.tt], iter_budget, limit, rng, check_coset=check_coset)[0]
+
+
+def probe_batch(
+    k: int,
+    m: int,
+    tts: Sequence[int],
+    iter_budget: int,
+    limit: int,
+    rng: Random,
+    *,
+    check_coset: bool = False,
+) -> list[ProbeResult]:
+    """Probe a batch of truth tables through one shared matrix walk.
+
+    The pivots depend only on the working matrix and the rng, never on the
+    functions, so for a fixed rng a sweep is a GF(2)-linear map of f and all
+    functions can share it.  They are packed side by side in one integer,
+    function b at bits [b*stride, b*stride + 2^m); a row update XORs the row
+    into every block whose bit sits at the pivot, through one multiply that
+    cannot carry because row < 2^stride.  A function's result is frozen at
+    the pass where it first reaches ``limit``; the walk stops once none is
+    left or the budget is spent.
+    """
     gen = rm_generator_matrix(k, m)
     n = 1 << m
-    if n <= 64:
-        return _probe_small(gen, f, iter_budget, limit, rng, check_coset)
-    nwords = (n + 63) // 64
-    g = np.zeros((gen.nrows, nwords), dtype=np.uint64)
-    for i, row in enumerate(gen.rows):
-        g[i] = np.frombuffer(int(row).to_bytes(nwords * 8, "little"), dtype=np.uint64)
-    fv = np.frombuffer(int(f.tt).to_bytes(nwords * 8, "little"), dtype=np.uint64).copy()
-
-    orig_rows = gen.rows
-    orig_tt = f.tt
-    best = int(np.bitwise_count(fv).sum())
-    passes = 0
-    found = best <= limit
-    nrows = gen.nrows
-    while not found and passes < iter_budget:
-        passes += 1
-        for i in range(nrows):
-            row = g[i]
-            p = _random_pivot_words(row, n, rng)
-            word, bit = divmod(p, 64)
-            bitmask = np.uint64(1 << bit)
-            below = g[i + 1 :]
-            sel = (below[:, word] & bitmask).astype(bool)
-            below[sel] ^= row
-            if fv[word] & bitmask:
-                fv ^= row
-        w = int(np.bitwise_count(fv).sum())
-        if w < best:
-            best = w
-        if check_coset:
-            rows_now = [
-                int.from_bytes(g[i].tobytes(), "little") for i in range(len(g))
-            ]
-            f_now = int.from_bytes(fv.tobytes(), "little")
-            _assert_coset_preserved(rows_now, f_now, orig_rows, orig_tt)
-        if w <= limit:
-            found = True
-    return ProbeResult(found, best, passes)
-
-
-def _probe_small(gen: GeneratorMatrix, f: BooleanFunction, iter_budget, limit, rng, check_coset):
-    """Single-word sweep loop; same draws and algebra as the packed path."""
-    n = 1 << f.m
+    if any(tt >> n for tt in tts):
+        raise ValueError(f"truth table wider than 2^{m} bits")
+    stride = -(-n // 8) * 8  # whole bytes per block, for the weight count
     g = list(gen.rows)
-    fv = f.tt
-    best = fv.bit_count()
-    passes = 0
-    found = best <= limit
     nrows = len(g)
-    while not found and passes < iter_budget:
-        passes += 1
+    count = len(tts)
+    ones = sum(1 << (b * stride) for b in range(count))
+    big = sum(tt << (b * stride) for b, tt in enumerate(tts))
+    best = [tt.bit_count() for tt in tts]
+    passes = [0] * count
+    live = [b for b in range(count) if best[b] > limit]
+    done = 0
+    while live and done < iter_budget:
+        done += 1
         for i in range(nrows):
             row = g[i]
             p = _random_pivot_int(row, n, rng)
@@ -173,16 +166,30 @@ def _probe_small(gen: GeneratorMatrix, f: BooleanFunction, iter_budget, limit, r
             for j in range(i + 1, nrows):
                 if g[j] & bit:
                     g[j] ^= row
-            if fv & bit:
-                fv ^= row
-        w = fv.bit_count()
-        if w < best:
-            best = w
+            sel = (big >> p) & ones
+            if sel:
+                big ^= sel * row
+        if count == 1:
+            weights = [big.bit_count()]
+        else:
+            raw = np.frombuffer(big.to_bytes(count * stride // 8, "little"), dtype=np.uint8)
+            weights = np.bitwise_count(raw).reshape(count, -1).sum(axis=1).tolist()
         if check_coset:
-            _assert_coset_preserved(g, fv, gen.rows, f.tt)
-        if w <= limit:
-            found = True
-    return ProbeResult(found, best, passes)
+            mask = (1 << n) - 1
+            fs = [(big >> (b * stride)) & mask for b in range(count)]
+            _assert_coset_preserved(g, fs, gen.rows, tts)
+        hit = False
+        for b in live:
+            if weights[b] < best[b]:
+                best[b] = weights[b]
+                if best[b] <= limit:
+                    passes[b] = done
+                    hit = True
+        if hit:
+            live = [b for b in live if best[b] > limit]
+    for b in live:
+        passes[b] = done
+    return [ProbeResult(best[b] <= limit, best[b], passes[b]) for b in range(count)]
 
 
 def _random_pivot_int(row: int, n: int, rng: Random) -> int:
@@ -190,16 +197,8 @@ def _random_pivot_int(row: int, n: int, rng: Random) -> int:
         p = rng.randrange(n)
         if (row >> p) & 1:
             return p
-    return rng.choice(_set_positions(row))
-
-
-def _random_pivot_words(row: np.ndarray, n: int, rng: Random) -> int:
-    for _ in range(_PIVOT_RETRY_CAP):
-        p = rng.randrange(n)
-        if (int(row[p >> 6]) >> (p & 63)) & 1:
-            return p
     # pathological luck: fall back to an explicit choice among the set bits
-    return rng.choice(_set_positions(int.from_bytes(row.tobytes(), "little")))
+    return rng.choice(_set_positions(row))
 
 
 def _set_positions(val: int) -> list[int]:
@@ -211,14 +210,14 @@ def _set_positions(val: int) -> list[int]:
     return positions
 
 
-def _assert_coset_preserved(rows_now, f_now, orig_rows, orig_tt):
+def _assert_coset_preserved(rows_now, fs_now, orig_rows, orig_tts):
     if gf2_rank(rows_now) != len(orig_rows):
         raise AssertionError("working matrix lost rank")
     if gf2_rank(list(orig_rows) + list(rows_now)) != len(orig_rows):
         raise AssertionError("working matrix left the row space")
-    diff = f_now ^ orig_tt
-    if gf2_rank(list(orig_rows) + [diff]) != len(orig_rows):
-        raise AssertionError("working function left its coset")
+    for f_now, orig_tt in zip(fs_now, orig_tts):
+        if gf2_rank(list(orig_rows) + [f_now ^ orig_tt]) != len(orig_rows):
+            raise AssertionError("working function left its coset")
 
 
 def exact_nonlinearity(
@@ -537,31 +536,39 @@ def scan_representatives(
     """Probe every representative (optionally every dirac translate of it).
 
     Partitions the representatives into those with an exhibited coset member
-    of weight at most ``limit`` and those where the budget found none.
+    of weight at most ``limit`` and those where the budget found none.  Each
+    representative is one probe batch, seeded by ``_item_seed``: its 2^m
+    dirac translates share the seed and one matrix walk.
     """
     m = reps.space.m
     if seed is None:
         seed = (rng or Random(0)).getrandbits(32)
+    shifts = list(range(1 << m)) if dirac_translates else [None]
     items = []
     for idx, fn in enumerate(reps.rep_functions()):
         tt = fn.lift().tt
-        if dirac_translates:
-            for a in range(1 << m):
-                items.append((idx, a, tt ^ (1 << a)))
-        else:
-            items.append((idx, None, tt))
+        items.append((idx, [tt if a is None else tt ^ (1 << a) for a in shifts]))
     if jobs > 1:
         from .parallel import probe_batch_parallel
 
         results = probe_batch_parallel(k, m, items, iter_budget, limit, seed, jobs)
     else:
-        results = []
-        for idx, shift, tt in items:
-            salt = shift if shift is not None else -1
-            item_seed = seed * 1000003 + idx * 65537 + salt + 1
-            r = nl_probe(k, m, BooleanFunction(m, tt), iter_budget, limit, Random(item_seed))
-            results.append(ProbeResult(r.found, r.best_weight, r.passes_used, item_seed))
+        results = [_probe_item(k, m, item, iter_budget, limit, seed) for item in items]
     entries = [
-        ScanEntry(idx, shift, res) for (idx, shift, _), res in zip(items, results)
+        ScanEntry(idx, shift, res)
+        for (idx, _), batch in zip(items, results)
+        for shift, res in zip(shifts, batch)
     ]
     return ScanReport(k, limit, entries)
+
+
+def _item_seed(seed: int, idx: int) -> int:
+    return seed * 1000003 + idx * 65537
+
+
+def _probe_item(k, m, item, iter_budget, limit, seed) -> list[ProbeResult]:
+    """One scan item: the batch of a representative, under its own seed."""
+    idx, tts = item
+    item_seed = _item_seed(seed, idx)
+    batch = probe_batch(k, m, tts, iter_budget, limit, Random(item_seed))
+    return [replace(r, seed=item_seed) for r in batch]

@@ -8,7 +8,6 @@ pool initializer.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from random import Random
 
 _BUCKET_STATE: dict = {}
 _PROBE_STATE: dict = {}
@@ -75,24 +74,13 @@ def _probe_init(k, m, iter_budget, limit, seed):
 
 
 def _probe_worker(item):
-    from .boolfun import BooleanFunction
-    from .nonlinearity import ProbeResult, nl_probe
+    from .nonlinearity import _probe_item
 
-    idx, shift, tt = item
-    salt = shift if shift is not None else -1
-    item_seed = _PROBE_STATE["seed"] * 1000003 + idx * 65537 + salt + 1
-    r = nl_probe(
-        _PROBE_STATE["k"],
-        _PROBE_STATE["m"],
-        BooleanFunction(_PROBE_STATE["m"], tt),
-        _PROBE_STATE["iter_budget"],
-        _PROBE_STATE["limit"],
-        Random(item_seed),
-    )
-    return ProbeResult(r.found, r.best_weight, r.passes_used, item_seed)
+    return _probe_item(item=item, **_PROBE_STATE)
 
 
 def probe_batch_parallel(k, m, items, iter_budget, limit, seed, jobs):
+    """Probe scan items, one batch per representative, across a pool."""
     with ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_probe_init,

@@ -30,6 +30,7 @@ from rmcover import (
     odd_weight_reduction,
     orbit_enumerate,
     parse_function,
+    probe_batch,
     q_apply_affine,
     quotient_space,
     random_affine,
@@ -299,6 +300,10 @@ class TestAcceptance:
             nl_probe(2, 4, f, 8, 0, rng, check_coset=True)
         f8 = BooleanFunction(8, rng.getrandbits(256))
         nl_probe(2, 8, f8, 3, 0, rng, check_coset=True)
+        # a batch checks every function against its own coset
+        probe_batch(2, 4, [rng.getrandbits(16) for _ in range(6)], 8, 0, rng, check_coset=True)
+        probe_batch(2, 8, [f8.tt ^ (1 << a) for a in range(0, 256, 51)], 3, 0, rng,
+                    check_coset=True)
 
         # signature digest guard
         sub = orbit_enumerate(1, 2, 3)

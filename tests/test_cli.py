@@ -64,8 +64,8 @@ class TestCli:
         run(args + ["--out", str(out1), "--report", str(rep1)], capsys)
         run(args + ["--out", str(out2), "--report", str(rep2)], capsys)
         assert out1.read_bytes() == out2.read_bytes()
-        # reports differ only in the output-path config digest
-        assert rep1.read_text().splitlines()[2:] == rep2.read_text().splitlines()[2:]
+        # output paths are not part of the config digest
+        assert rep1.read_text() == rep2.read_text()
 
     def test_nl_exact(self, tmp_path, capsys):
         fns = tmp_path / "fns.txt"
@@ -106,6 +106,28 @@ class TestCli:
         )
         assert code == 0
         assert "rep 0" in out and "found" in out
+
+    def test_nl_scan_dirac(self, tmp_path, capsys):
+        reps = tmp_path / "reps.cls"
+        run(["oracle", "--s", "2", "--t", "3", "--m", "4", "--out", str(reps)], capsys)
+        args = ["nl", "scan", "--k", "1", "--limit", "3", "--reps", str(reps),
+                "--iter", "16", "--seed", "2", "--dirac"]
+        texts = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"dirac{jobs}.report"
+            code, _, _ = run(args + ["--jobs", jobs, "--out", str(out)], capsys)
+            assert code == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        entries = [line.split() for line in texts[0].splitlines() if line.startswith("rep ")]
+        assert sorted((int(e[1]), int(e[3], 16)) for e in entries) == [
+            (i, a) for i in range(5) for a in range(16)
+        ]
+        for e in entries:
+            best = int(e[7])
+            assert best % 2 == 1
+            assert (e[5] == "true") == (best <= 3)
+        assert {e[5] for e in entries} == {"true", "false"}
 
     def test_equiv_verdicts(self, tmp_path, capsys):
         sub = tmp_path / "sub.cls"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from rmcover import (
     odd_weight_reduction,
     orbit_enumerate,
     parse_function,
+    probe_batch,
     random_affine,
     relative_rho,
     rm_dimension,
@@ -149,6 +151,24 @@ class TestProbe:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             nl_probe(1, 3, BooleanFunction(4, 1), 10, 0, random.Random(0))
+
+    def test_batch_equals_serial_mixed_hits(self):
+        # limit 15 lets some translates hit early and others run the budget out
+        base = random.Random(1).getrandbits(64)
+        tts = [base ^ (1 << a) for a in range(0, 64, 4)]
+        batch = probe_batch(2, 6, tts, 24, 15, random.Random(1))
+        serial = [
+            nl_probe(2, 6, BooleanFunction(6, tt), 24, 15, random.Random(1))
+            for tt in tts
+        ]
+        assert batch == serial
+        early = [r for r in batch if r.found and r.passes_used < 24]
+        assert len(early) >= 2 and len({r.passes_used for r in early}) >= 2
+        assert any(not r.found for r in batch)
+
+    def test_batch_rejects_wide_truth_table(self):
+        with pytest.raises(ValueError):
+            probe_batch(1, 3, [1, 1 << 8], 4, 0, random.Random(0))
 
 
 class TestCoveringRadius:
@@ -302,9 +322,20 @@ class TestScan:
         shifts = {e.shift for e in report.entries}
         assert shifts == set(range(8))
 
+    def test_dirac_entries_equal_serial_probes(self, oracle234):
+        report = scan_representatives(1, oracle234, 3, 16, seed=5, dirac_translates=True)
+        # one seed per representative, shared by its translates
+        assert len({(e.index, e.result.seed) for e in report.entries}) == oracle234.n_classes
+        for e in report.entries:
+            tt = oracle234.rep_function(e.index).lift().tt ^ (1 << e.shift)
+            alone = nl_probe(1, 4, BooleanFunction(4, tt), 16, 3, random.Random(e.result.seed))
+            assert alone == replace(e.result, seed=None)
+
     def test_jobs_agree_with_serial(self, oracle234):
-        serial = scan_representatives(1, oracle234, 2, 32, seed=4)
-        parallel = scan_representatives(1, oracle234, 2, 32, seed=4, jobs=2)
-        assert [e.result for e in serial.entries] == [
-            e.result for e in parallel.entries
-        ]
+        for dirac_translates in (False, True):
+            kw = dict(seed=4, dirac_translates=dirac_translates)
+            serial = scan_representatives(1, oracle234, 2, 32, **kw)
+            parallel = scan_representatives(1, oracle234, 2, 32, jobs=2, **kw)
+            assert [(e.index, e.shift, e.result) for e in serial.entries] == [
+                (e.index, e.shift, e.result) for e in parallel.entries
+            ]
