@@ -115,12 +115,6 @@ def weight(f: BooleanFunction) -> int:
     return f.tt.bit_count()
 
 
-@dataclass(frozen=True)
-class DegreeInfo:
-    degree: float
-    valuation: float
-
-
 def anf_degree(coeffs: int) -> float:
     """Max popcount of a set monomial mask; -inf for the zero polynomial."""
     deg = -math.inf
@@ -131,22 +125,6 @@ def anf_degree(coeffs: int) -> float:
             deg = d
         coeffs ^= low
     return deg
-
-
-def anf_valuation(coeffs: int) -> float:
-    """Min popcount of a set monomial mask; +inf for the zero polynomial."""
-    val = math.inf
-    while coeffs:
-        low = coeffs & -coeffs
-        d = (low.bit_length() - 1).bit_count()
-        if d < val:
-            val = d
-        coeffs ^= low
-    return val
-
-
-def degree_valuation(p: AnfPolynomial) -> DegreeInfo:
-    return DegreeInfo(anf_degree(p.coeffs), anf_valuation(p.coeffs))
 
 
 def degree(f: BooleanFunction) -> float:

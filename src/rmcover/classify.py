@@ -10,7 +10,9 @@ backtracking equivalence test.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
@@ -252,22 +254,31 @@ def orbit_enumerate(
     )
 
 
-def _group_closure(gens: Sequence[AffineTransformation], m: int, limit: int) -> Optional[set]:
-    """Element set generated by gens, or None once it exceeds the limit."""
-    ident = identity(m)
-    seen = {(ident.rows, ident.trans)}
-    queue = deque([ident])
+def _extend_closure(closure: dict, gens: Sequence[AffineTransformation], limit: int) -> None:
+    """Grow the elements of the group generated by gens[:-1] to those of gens.
+
+    ``closure`` maps (rows, trans) to the element.  The old elements are
+    closed under the old generators, so they only need the new one on the
+    right; every new element is multiplied by all generators.  Raises once
+    the group would exceed ``limit`` elements.
+    """
+    new_gen = gens[-1]
+    queue = deque()
+
+    def visit(elt: AffineTransformation) -> None:
+        key = (elt.rows, elt.trans)
+        if key not in closure:
+            if len(closure) >= limit:
+                raise RuntimeError("stabilizer closure exceeds |AGL| / |orbit|")
+            closure[key] = elt
+            queue.append(elt)
+
+    for cur in list(closure.values()):
+        visit(compose(cur, new_gen))
     while queue:
         cur = queue.popleft()
         for g in gens:
-            nxt = compose(cur, g)
-            key = (nxt.rows, nxt.trans)
-            if key not in seen:
-                if len(seen) >= limit:
-                    return None
-                seen.add(key)
-                queue.append(nxt)
-    return seen
+            visit(compose(cur, g))
 
 
 def _orbit_stabilizer_gens(
@@ -299,20 +310,24 @@ def _orbit_stabilizer_gens(
                 order.append(y)
                 queue.append(y)
     assert len(transversal) == orbit_size
-    inv_transversal = {y: invert(ty) for y, ty in transversal.items()}
+    inv_transversal: dict[int, AffineTransformation] = {}
 
     stab_order = agl_order(m) // orbit_size
     prune = stab_order <= closure_guard
-    ident_key = (identity(m).rows, 0)
+    ident = identity(m)
+    ident_key = (ident.rows, 0)
     seen = {ident_key}
     selected: list[AffineTransformation] = []
-    closure: set = {ident_key}
+    closure: dict = {ident_key: ident}
 
     for x in order:
         tx = transversal[x]
         for gi, images in enumerate(images_per_gen):
             y = apply_key(images, x)
-            sg = compose(compose(tx, gens[gi]), inv_transversal[y])
+            ty_inv = inv_transversal.get(y)
+            if ty_inv is None:
+                ty_inv = inv_transversal[y] = invert(transversal[y])
+            sg = compose(compose(tx, gens[gi]), ty_inv)
             key = (sg.rows, sg.trans)
             if key in seen:
                 continue
@@ -321,8 +336,7 @@ def _orbit_stabilizer_gens(
                 if key in closure:
                     continue
                 selected.append(sg)
-                closure = _group_closure(selected, m, stab_order + 1)
-                assert closure is not None and len(closure) <= stab_order
+                _extend_closure(closure, selected, stab_order)
                 if len(closure) == stab_order:
                     return selected
             else:
@@ -434,6 +448,29 @@ def initial_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
     return CoverSet(s, t, m, size, _ProductEntries(sub.n_classes, 1 << h_space.dim))
 
 
+def _echelon_basis(vectors: Iterable[int]) -> list[int]:
+    """Fully reduced echelon basis of the span of vectors over GF(2).
+
+    The top bit of each basis vector is its pivot, and no other basis vector
+    has that bit set; so reducing a key by the basis clears every pivot bit
+    and gives the smallest key of its coset.
+    """
+    basis: list[int] = []
+    for v in vectors:
+        v = _reduce(v, basis)
+        if v:
+            top = 1 << (v.bit_length() - 1)
+            basis = [b ^ v if b & top else b for b in basis]
+            basis.append(v)
+    return basis
+
+
+def _reduce(key: int, basis: Sequence[int]) -> int:
+    for b in basis:
+        key = min(key, key ^ b)
+    return key
+
+
 def reduce_cover_set(
     s: int,
     t: int,
@@ -444,17 +481,19 @@ def reduce_cover_set(
 ) -> CoverSet:
     """Cover set reduced by the stabilizer action on the h part.
 
-    For each g, the h window is partitioned under the group generated by
+    For each g, the h window V is partitioned under the group generated by
     h -> h o u for u in the stabilizer of g together with the translations
     h -> h + alpha*g over affine forms alpha; one minimal representative
-    per orbit survives.
+    per orbit survives.  The translations span a subspace T that every u
+    maps into itself, so the orbits are unions of T-cosets and the walk runs
+    on V/T: each coset is named by its smallest key, which has no pivot bit
+    of T set, and numbered densely by deleting those bits.
     """
     _check_sub(s, t, m, sub)
     if sub.stabilizer_gens is None:
         raise ValueError("sub-classification carries no stabilizer generators")
     h_space = quotient_space(s, t, m - 1)
-    n = 1 << h_space.dim
-    if n > inner_guard:
+    if 1 << h_space.dim > inner_guard:
         raise SpaceTooLargeError(
             f"h window has 2^{h_space.dim} elements, guard allows {inner_guard}"
         )
@@ -465,27 +504,46 @@ def reduce_cover_set(
         if stab is None:
             raise ValueError(f"missing stabilizer generators for class {g_idx}")
         g_fn = sub.rep_function(g_idx)
-        tables = [
-            _byte_tables(action_matrix(h_space, u), h_space.dim) for u in stab
-        ]
-        consts = []
-        for alpha_mask in [0] + [1 << i for i in range(m - 1)]:
-            shift = multiply_affine_form(1 << alpha_mask, g_fn, s, t)
-            if shift.key:
-                consts.append(shift.key)
+        basis = _echelon_basis(
+            multiply_affine_form(1 << alpha_mask, g_fn, s, t).key
+            for alpha_mask in [0] + [1 << i for i in range(m - 1)]
+        )
+        pivots = 0
+        for b in basis:
+            pivots |= 1 << (b.bit_length() - 1)
+        free = [q for q in range(h_space.dim) if not (pivots >> q) & 1]
 
+        def compress(key: int) -> int:
+            return sum(((key >> q) & 1) << j for j, q in enumerate(free))
+
+        tables = []
+        for u in stab:
+            images = action_matrix(h_space, u)
+            if any(_reduce(apply_key(images, b), basis) for b in basis):
+                raise ValueError(
+                    f"stabilizer generator of class {g_idx} does not preserve "
+                    "the span of the alpha*g translations"
+                )
+            tables.append(
+                _byte_tables(
+                    [compress(_reduce(images[q], basis)) for q in free], len(free)
+                )
+            )
+
+        n = 1 << len(free)
         visited = np.zeros(n, dtype=bool)
         remaining = np.flatnonzero(~visited)
         while remaining.size:
             start = int(remaining[0])
-            entries.append((g_idx, start))
+            entries.append(
+                (g_idx, sum(((start >> j) & 1) << q for j, q in enumerate(free)))
+            )
             visited[start] = True
             frontier = np.array([start], dtype=np.int64)
             while frontier.size:
                 parts = []
-                imgs = [_apply_tables(frontier, tab) for tab in tables]
-                imgs += [frontier ^ c for c in consts]
-                for img in imgs:
+                for tab in tables:
+                    img = _apply_tables(frontier, tab)
                     fresh = img[~visited[img]]
                     if fresh.size:
                         fresh = np.unique(fresh)
@@ -725,6 +783,25 @@ def _decode_affine(text: str, m: int) -> AffineTransformation:
     return AffineTransformation(m, rows, int(trans_text or "0", 16))
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Replace the file at path with text, or leave it as it was.
+
+    The text goes to a temporary file in the same directory, which is synced
+    and then renamed over path; a write that fails partway removes the
+    temporary file and never truncates the previous one.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def save_classification(cls: Classification, path: str) -> None:
     s, t, m = cls.space.params
     lines = [
@@ -747,8 +824,7 @@ def save_classification(cls: Classification, path: str) -> None:
                 lines.append(f"S {i} -")  # trivial stabilizer, not "unknown"
             for g in gens:
                 lines.append(f"S {i} " + _encode_affine(g))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_classification(path: str) -> Classification:

@@ -23,6 +23,7 @@ from .classify import (
     load_classification,
     orbit_enumerate,
     save_classification,
+    write_text_atomic,
 )
 from .equivalence import EQUIV, equivalent
 from .group import agl_generators
@@ -66,8 +67,7 @@ def _report_header(args: argparse.Namespace, seed=None) -> list[str]:
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        write_text_atomic(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -267,6 +267,17 @@ def _cmd_radius(args) -> int:
     return 0
 
 
+def _add_oracle_parser(subs, help_text: str) -> None:
+    p = subs.add_parser("oracle", help=help_text)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--guard", type=int, default=1 << 26)
+    p.add_argument("--no-stabilizers", dest="stabilizers", action="store_false")
+    p.set_defaults(func=_cmd_oracle)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmcover",
@@ -276,25 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("oracle", help="exact classification by full-space BFS")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--guard", type=int, default=1 << 26)
-    p.add_argument("--no-stabilizers", dest="stabilizers", action="store_false")
-    p.set_defaults(func=_cmd_oracle)
+    _add_oracle_parser(subs, "exact classification by full-space BFS")
 
     p = subs.add_parser("classify", help="cover set + invariant + equivalence pipeline")
     sub2 = p.add_subparsers(dest="subcommand", required=True)
-    po = sub2.add_parser("oracle", help="alias of the top-level oracle command")
-    po.add_argument("--s", type=int, required=True)
-    po.add_argument("--t", type=int, required=True)
-    po.add_argument("--m", type=int, required=True)
-    po.add_argument("--out", required=True)
-    po.add_argument("--guard", type=int, default=1 << 26)
-    po.add_argument("--no-stabilizers", dest="stabilizers", action="store_false")
-    po.set_defaults(func=_cmd_oracle)
+    _add_oracle_parser(sub2, "alias of the top-level oracle command")
     pr = sub2.add_parser("run")
     pr.add_argument("--s", type=int, required=True)
     pr.add_argument("--t", type=int, required=True)

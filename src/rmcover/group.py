@@ -85,24 +85,6 @@ def invert_rows(rows: Sequence[int], m: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class LinearMap:
-    """An m x m bit matrix with no invertibility requirement."""
-
-    m: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.m:
-            raise ValueError("row count does not match dimension")
-        mask = (1 << self.m) - 1
-        if any(row & ~mask for row in self.rows):
-            raise ValueError("row mask exceeds dimension")
-
-    def apply(self, x: int) -> int:
-        return matvec(self.rows, x)
-
-
-@dataclass(frozen=True)
 class AffineTransformation:
     """Invertible affine map x -> A*x + a on F_2^m."""
 
@@ -123,6 +105,19 @@ class AffineTransformation:
         return matvec(self.rows, x) ^ self.trans
 
 
+def _invertible(m: int, rows: tuple[int, ...], trans: int) -> AffineTransformation:
+    """An AffineTransformation built without the checks of the constructor.
+
+    Only for products and inverses of validated maps, which are invertible by
+    construction; everything else goes through the validating constructor.
+    """
+    s = object.__new__(AffineTransformation)
+    object.__setattr__(s, "m", m)
+    object.__setattr__(s, "rows", rows)
+    object.__setattr__(s, "trans", trans)
+    return s
+
+
 def identity(m: int) -> AffineTransformation:
     return AffineTransformation(m, identity_rows(m), 0)
 
@@ -135,14 +130,14 @@ def compose(s1: AffineTransformation, s2: AffineTransformation) -> AffineTransfo
     """Composition s1(s2(x)): A = A1*A2, a = A1*a2 + a1."""
     if s1.m != s2.m:
         raise ValueError("dimension mismatch")
-    return AffineTransformation(
+    return _invertible(
         s1.m, mat_mul(s1.rows, s2.rows), matvec(s1.rows, s2.trans) ^ s1.trans
     )
 
 
 def invert(s: AffineTransformation) -> AffineTransformation:
     inv = invert_rows(s.rows, s.m)
-    return AffineTransformation(s.m, inv, matvec(inv, s.trans))
+    return _invertible(s.m, inv, matvec(inv, s.trans))
 
 
 def random_affine(m: int, rng: Random) -> AffineTransformation:
@@ -190,18 +185,6 @@ def agl_order(m: int) -> int:
     for i in range(m):
         order *= (1 << m) - (1 << i)
     return order
-
-
-def adjoint_inverse(astar: LinearMap) -> LinearMap:
-    """Recover the search matrix's partner under the Walsh pairing.
-
-    If A* satisfies fourier(f2)(A* x) = fourier(f1)(x) for all x, the returned
-    A is the matrix with classmap(f2)(v) = classmap(f1)(A v); the two are
-    exchanged by transposition.
-    """
-    if gf2_rank(astar.rows) != astar.m:
-        raise SingularMatrixError("candidate matrix is singular")
-    return LinearMap(astar.m, transpose_rows(astar.rows, astar.m))
 
 
 def transformation_digest(s: AffineTransformation) -> str:

@@ -10,7 +10,6 @@ from rmcover import (
     anf_to_string,
     apply_affine,
     compose,
-    degree_valuation,
     derivative,
     dirac,
     from_anf,
@@ -84,21 +83,13 @@ class TestWeightDegree:
             g = BooleanFunction(4, rng.getrandbits(16))
             assert (weight(f ^ g) - weight(f) - weight(g)) % 2 == 0
 
-    def test_degree_valuation_zero(self):
-        info = degree_valuation(AnfPolynomial(3, 0))
-        assert info.degree == -math.inf
-        assert info.valuation == math.inf
-
-    def test_degree_valuation_mixed(self):
-        info = degree_valuation(anf("ab+c", 3))
-        assert info.degree == 2
-        assert info.valuation == 1
-
     def test_dirac_degree(self):
+        assert anf_degree(0) == -math.inf
+        assert anf_degree(anf("ab+c", 3).coeffs) == 2
         for m in (2, 4):
-            info = degree_valuation(to_anf(dirac(0, m)))
-            assert info.degree == m
-            assert info.valuation == 0
+            p = to_anf(dirac(0, m))
+            assert anf_degree(p.coeffs) == m
+            assert p.coeffs & 1  # the constant monomial: valuation 0
 
 
 class TestDirac:

@@ -23,7 +23,36 @@ from rmcover import (
 )
 
 
-def closure_size(gens, m):
+def orbit_minima_reference(s, t, m, sub):
+    """Cover entries by plain BFS over every h key of every class of sub."""
+    from rmcover.quotient import action_matrix, apply_key, multiply_affine_form
+
+    h_space = quotient_space(s, t, m - 1)
+    entries = []
+    for g_idx in range(sub.n_classes):
+        g_fn = sub.rep_function(g_idx)
+        moves = [action_matrix(h_space, u) for u in sub.stabilizer_gens[g_idx]]
+        shifts = [
+            multiply_affine_form(1 << alpha, g_fn, s, t).key
+            for alpha in [0] + [1 << i for i in range(m - 1)]
+        ]
+        seen = set()
+        for start in range(1 << h_space.dim):
+            if start in seen:
+                continue
+            entries.append((g_idx, start))
+            seen.add(start)
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for y in [apply_key(im, x) for im in moves] + [x ^ c for c in shifts]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+    return entries
+
+
+def closure_keys(gens, m):
     ident = identity(m)
     seen = {(ident.rows, ident.trans)}
     queue = deque([ident])
@@ -35,7 +64,11 @@ def closure_size(gens, m):
             if key not in seen:
                 seen.add(key)
                 queue.append(nxt)
-    return len(seen)
+    return seen
+
+
+def closure_size(gens, m):
+    return len(closure_keys(gens, m))
 
 
 class TestOrbitEnumerate:
@@ -103,6 +136,21 @@ class TestStabilizers:
             for i in range(cls.n_classes):
                 gens = stabilizer_generators(cls.rep_function(i), cls)
                 assert closure_size(gens, m) * cls.orbit_sizes[i] == agl_order(m)
+
+    def test_pruned_generators_are_irredundant(self, sub124):
+        # below the closure guard each selected generator lies outside the
+        # group of the ones before it, and together they generate all of Stab
+        pruned = 0
+        for i in range(sub124.n_classes):
+            stab_order = agl_order(4) // sub124.orbit_sizes[i]
+            gens = sub124.stabilizer_gens[i]
+            if stab_order > 1 << 16:
+                continue
+            pruned += 1
+            for k, g in enumerate(gens):
+                assert (g.rows, g.trans) not in closure_keys(gens[:k], 4)
+            assert closure_size(gens, 4) == stab_order
+        assert pruned == 4
 
     def test_non_representative_rejected(self, oracle234):
         space = oracle234.space
@@ -182,6 +230,43 @@ class TestCoverSets:
                     shift = multiply_affine_form(1 << (1 << i), g_fn, 2, 3)
                     moved = compose_decomposition(g_fn, h ^ shift)
                     assert int(oracle234.lookup[moved.key]) == base_cls
+
+    def test_reduction_equals_orbit_minima(self, sub123, sub124):
+        # the walk on V/T must emit exactly the orbit minima over all of V,
+        # in the same order
+        for params, sub in (((2, 3, 4), sub123), ((2, 3, 5), sub124)):
+            assert list(reduce_cover_set(*params, sub).entries) == (
+                orbit_minima_reference(*params, sub)
+            )
+
+    def test_coset_reduction_gives_coset_minimum(self):
+        from rmcover.classify import _echelon_basis, _reduce
+
+        rng = random.Random(5)
+        for _ in range(50):
+            vecs = [rng.getrandbits(8) for _ in range(rng.randrange(1, 6))]
+            span = {0}
+            for v in vecs:
+                span |= {x ^ v for x in span}
+            basis = _echelon_basis(vecs)
+            assert 1 << len(basis) == len(span)
+            for x in range(256):
+                assert _reduce(x, basis) == min(x ^ y for y in span)
+
+    def test_stabilizer_must_preserve_translations(self, sub123):
+        # for g = a the translations span {ab, ac}; swapping x1 and x2 sends
+        # ac to bc, outside that span
+        import copy
+
+        from rmcover import AffineTransformation
+
+        assert repr(sub123.rep_function(1)) == "(1,2,3):a"
+        swap = AffineTransformation(3, (0b010, 0b001, 0b100), 0)
+        broken = copy.copy(sub123)
+        broken.stabilizer_gens = list(sub123.stabilizer_gens)
+        broken.stabilizer_gens[1] = [swap]
+        with pytest.raises(ValueError, match="does not preserve"):
+            reduce_cover_set(2, 3, 4, broken)
 
     def test_missing_stabilizers_rejected(self, sub123):
         import copy
@@ -281,6 +366,16 @@ class TestFiles:
         assert len(loaded.stabilizer_gens) == oracle223.n_classes
         loaded.ensure_lookup()
         assert (loaded.lookup == oracle223.lookup).all()
+
+    def test_failed_write_keeps_previous_file(self, oracle223, oracle234, tmp_path, request):
+        path = tmp_path / "c.cls"
+        save_classification(oracle223, str(path))
+        before = path.read_bytes()
+        request.getfixturevalue("fail_writes")
+        with pytest.raises(OSError):
+            save_classification(oracle234, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cls"]
 
     def test_digest_tamper_detected(self, oracle223, tmp_path):
         path = tmp_path / "c.cls"

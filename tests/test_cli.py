@@ -208,6 +208,20 @@ class TestCli:
         assert code == 0
         assert direct.read_bytes() == alias.read_bytes()
 
+    def test_failed_report_write_keeps_previous_report(self, tmp_path, capsys, request):
+        fns = tmp_path / "fns.txt"
+        fns.write_text("ab+cd\n")
+        report = tmp_path / "nl.report"
+        report.write_text("previous report\n")
+        request.getfixturevalue("fail_writes")
+        code, _, err = run(
+            ["nl", "exact", "--k", "1", "--m", "4", "--in", str(fns), "--out", str(report)],
+            capsys,
+        )
+        assert code == 2 and "No space left" in err
+        assert report.read_text() == "previous report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fns.txt", "nl.report"]
+
     def test_malformed_input_line_number(self, tmp_path, capsys):
         fns = tmp_path / "fns.txt"
         fns.write_text("ab+cd\nzz!\n")

@@ -5,9 +5,7 @@ import pytest
 
 from rmcover import (
     AffineTransformation,
-    LinearMap,
     SingularMatrixError,
-    adjoint_inverse,
     agl_generators,
     agl_order,
     apply_affine,
@@ -102,6 +100,24 @@ class TestComposeInvert:
         for s in elems:
             assert compose(s, invert(s)) == ident
 
+    def test_products_equal_validated_construction(self):
+        # compose and invert skip the rank check; their results must be the
+        # same values as maps built through the validating constructor
+        rng = random.Random(11)
+        for m in (3, 4, 5, 6):
+            for _ in range(10):
+                a, b = random_affine(m, rng), random_affine(m, rng)
+                for out in (compose(a, b), invert(a)):
+                    built = AffineTransformation(m, out.rows, out.trans)
+                    assert out == built
+                    assert hash(out) == hash(built)
+
+    def test_constructor_still_rejects_singular(self):
+        for m in (3, 4, 5, 6):
+            rows = tuple(1 << i for i in range(m - 1)) + (1,)
+            with pytest.raises(SingularMatrixError):
+                AffineTransformation(m, rows, 0)
+
     def test_associativity_randomized(self):
         rng = random.Random(4)
         for m in (3, 4, 5, 6):
@@ -192,45 +208,3 @@ class TestGenerators:
     def test_order_formula(self):
         assert agl_order(2) == 24
         assert agl_order(3) == 1344
-
-
-class TestAdjointInverse:
-    def test_identity(self):
-        ident = LinearMap(3, (1, 2, 4))
-        assert adjoint_inverse(ident) == ident
-
-    def test_transposition_relation(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            s = random_affine(4, rng)
-            back = adjoint_inverse(LinearMap(4, transpose_rows(s.rows, 4)))
-            assert back.rows == s.rows
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            adjoint_inverse(LinearMap(2, (1, 1)))
-
-    def test_walsh_pairing(self, sub123):
-        # the returned A satisfies classmap(f o s) = classmap(f) o A whenever
-        # the input A* matches the Walsh transforms of the class maps
-        from rmcover import class_map, fourier_map, q_apply_affine
-        from rmcover.quotient import quotient_space
-
-        rng = random.Random(10)
-        space = quotient_space(2, 3, 4)
-        for _ in range(10):
-            f = space.function(rng.randrange(1 << space.dim))
-            s = random_affine(4, rng)
-            fs = q_apply_affine(f, s)
-            fh_f = fourier_map(class_map(f, sub123))
-            fh_fs = fourier_map(class_map(fs, sub123))
-            astar = transpose_rows(s.rows, 4)
-            assert all(
-                fh_fs[matvec(astar, x)] == fh_f[x] for x in range(16)
-            )
-            a = adjoint_inverse(LinearMap(4, astar))
-            cm_f = class_map(f, sub123).values
-            cm_fs = class_map(fs, sub123).values
-            assert all(
-                cm_fs[v] == cm_f[matvec(a.rows, v)] for v in range(16)
-            )

@@ -14,7 +14,7 @@ from rmcover import (
     random_affine,
     wht,
 )
-from rmcover.group import matvec
+from rmcover.group import matvec, transpose_rows
 from rmcover.invariant import ClassMap
 
 
@@ -69,6 +69,19 @@ class TestClassMap:
             assert all(
                 cm_fs.values[v] == cm_f.values[matvec(s.rows, v)] for v in range(16)
             )
+
+    def test_walsh_pairing(self, sub123):
+        # the Walsh transforms of the class maps are exchanged by the
+        # transpose of the linear part
+        rng = random.Random(10)
+        space = quotient_space(2, 3, 4)
+        for _ in range(10):
+            f = space.function(rng.randrange(1 << space.dim))
+            s = random_affine(4, rng)
+            fh_f = fourier_map(class_map(f, sub123))
+            fh_fs = fourier_map(class_map(q_apply_affine(f, s), sub123))
+            astar = transpose_rows(s.rows, 4)
+            assert all(fh_fs[matvec(astar, x)] == fh_f[x] for x in range(16))
 
 
 class TestSignatures:
