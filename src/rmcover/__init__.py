@@ -33,7 +33,6 @@ from .classify import (
     orbit_enumerate,
     reduce_cover_set,
     save_classification,
-    stabilizer_generators,
 )
 from .equivalence import (
     EQUIV,
@@ -96,6 +95,5 @@ from .quotient import (
     parse_quotient,
     project,
     q_apply_affine,
-    quotient_derivative,
     quotient_space,
 )

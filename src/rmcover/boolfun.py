@@ -270,15 +270,6 @@ def anf_from_string(text: str, m: int) -> AnfPolynomial:
     return AnfPolynomial(m, coeffs)
 
 
-def format_function(f: BooleanFunction, kind: str = "anf") -> str:
-    """One-line form with an explicit prefix; round-trips via parse_function."""
-    if kind == "anf":
-        return "anf:" + anf_to_string(to_anf(f))
-    if kind == "hex":
-        return "hex:" + tt_to_hex(f)
-    raise ValueError(f"unknown serialization kind {kind!r}")
-
-
 def parse_function(text: str, m: int) -> BooleanFunction:
     """Parse "hex:..." or "anf:..."; an unprefixed string is read as ANF."""
     text = text.strip()

@@ -23,6 +23,7 @@ import numpy as np
 from . import boolfun as bf
 from .group import (
     AffineTransformation,
+    _StabilizerChain,
     agl_generators,
     agl_order,
     compose,
@@ -43,8 +44,6 @@ from .quotient import (
 DEFAULT_SPACE_GUARD = 1 << 26
 DEFAULT_INNER_GUARD = 1 << 24
 DEFAULT_STAB_ORBIT_GUARD = 1 << 16
-DEFAULT_CLOSURE_GUARD = 1 << 16
-DEFAULT_STAB_GEN_CAP = 128
 
 
 class SpaceTooLargeError(RuntimeError):
@@ -172,17 +171,14 @@ def orbit_enumerate(
     generators: Optional[Sequence[AffineTransformation]] = None,
     *,
     space_guard: int = DEFAULT_SPACE_GUARD,
-    stabilizers: bool | str = "auto",
-    stab_orbit_guard: int = DEFAULT_STAB_ORBIT_GUARD,
-    closure_guard: int = DEFAULT_CLOSURE_GUARD,
-    stab_gen_cap: int = DEFAULT_STAB_GEN_CAP,
+    stabilizers: bool = True,
 ) -> Classification:
     """Exact classification of a window by BFS over all of its elements.
 
     Representatives are the smallest key of each orbit, listed in increasing
     order, so the numbering is deterministic.  Returns the complete lookup
-    and, for orbits within the stabilizer guard, Schreier generators of the
-    per-representative stabilizers.
+    and, for orbits within the stabilizer guard, irredundant generators of
+    the per-representative stabilizers.
     """
     space = quotient_space(s, t, m)
     n = 1 << space.dim
@@ -224,23 +220,11 @@ def orbit_enumerate(
     if stabilizers:
         stab_lists = []
         for cls, rep in enumerate(reps):
-            if sizes[cls] > stab_orbit_guard:
-                if stabilizers != "auto":
-                    raise SpaceTooLargeError(
-                        f"orbit of size {sizes[cls]} exceeds the stabilizer guard"
-                    )
+            if sizes[cls] > DEFAULT_STAB_ORBIT_GUARD:
                 stab_lists.append(None)
                 continue
             stab_lists.append(
-                _orbit_stabilizer_gens(
-                    m,
-                    gens,
-                    images_per_gen,
-                    rep,
-                    sizes[cls],
-                    closure_guard=closure_guard,
-                    gen_cap=stab_gen_cap,
-                )
+                _orbit_stabilizer_gens(m, gens, images_per_gen, rep, sizes[cls])
             )
 
     return Classification(
@@ -254,48 +238,19 @@ def orbit_enumerate(
     )
 
 
-def _extend_closure(closure: dict, gens: Sequence[AffineTransformation], limit: int) -> None:
-    """Grow the elements of the group generated by gens[:-1] to those of gens.
-
-    ``closure`` maps (rows, trans) to the element.  The old elements are
-    closed under the old generators, so they only need the new one on the
-    right; every new element is multiplied by all generators.  Raises once
-    the group would exceed ``limit`` elements.
-    """
-    new_gen = gens[-1]
-    queue = deque()
-
-    def visit(elt: AffineTransformation) -> None:
-        key = (elt.rows, elt.trans)
-        if key not in closure:
-            if len(closure) >= limit:
-                raise RuntimeError("stabilizer closure exceeds |AGL| / |orbit|")
-            closure[key] = elt
-            queue.append(elt)
-
-    for cur in list(closure.values()):
-        visit(compose(cur, new_gen))
-    while queue:
-        cur = queue.popleft()
-        for g in gens:
-            visit(compose(cur, g))
-
-
 def _orbit_stabilizer_gens(
     m: int,
     gens: Sequence[AffineTransformation],
     images_per_gen: Sequence[Sequence[int]],
     rep: int,
     orbit_size: int,
-    *,
-    closure_guard: int,
-    gen_cap: int,
 ) -> list[AffineTransformation]:
-    """Schreier generators of the stabilizer of rep, from a transversal BFS.
+    """Irredundant generators of the stabilizer of rep.
 
-    When the stabilizer order (known from orbit-stabilizer) fits the closure
-    guard, the list is pruned greedily until the generated closure has full
-    size; otherwise the deduplicated generators are kept up to a cap.
+    The Schreier generators from a transversal BFS are visited in BFS order,
+    and one is kept exactly when it does not sift through the stabilizer
+    chain of those kept before it.  The walk stops once the chain has the
+    order |AGL| / |orbit| that orbit-stabilizer gives for Stab(rep).
     """
     transversal: dict[int, AffineTransformation] = {rep: identity(m)}
     order: list[int] = [rep]
@@ -310,92 +265,33 @@ def _orbit_stabilizer_gens(
                 order.append(y)
                 queue.append(y)
     assert len(transversal) == orbit_size
-    inv_transversal: dict[int, AffineTransformation] = {}
+
+    def schreier_generators():
+        inv_transversal: dict[int, AffineTransformation] = {}
+        for x in order:
+            tx = transversal[x]
+            for gi, images in enumerate(images_per_gen):
+                y = apply_key(images, x)
+                ty_inv = inv_transversal.get(y)
+                if ty_inv is None:
+                    ty_inv = inv_transversal[y] = invert(transversal[y])
+                yield compose(compose(tx, gens[gi]), ty_inv)
 
     stab_order = agl_order(m) // orbit_size
-    prune = stab_order <= closure_guard
-    ident = identity(m)
-    ident_key = (ident.rows, 0)
-    seen = {ident_key}
+    chain = _StabilizerChain(m)
     selected: list[AffineTransformation] = []
-    closure: dict = {ident_key: ident}
-
-    for x in order:
-        tx = transversal[x]
-        for gi, images in enumerate(images_per_gen):
-            y = apply_key(images, x)
-            ty_inv = inv_transversal.get(y)
-            if ty_inv is None:
-                ty_inv = inv_transversal[y] = invert(transversal[y])
-            sg = compose(compose(tx, gens[gi]), ty_inv)
-            key = (sg.rows, sg.trans)
-            if key in seen:
-                continue
-            seen.add(key)
-            if prune:
-                if key in closure:
-                    continue
-                selected.append(sg)
-                _extend_closure(closure, selected, stab_order)
-                if len(closure) == stab_order:
-                    return selected
-            else:
-                selected.append(sg)
-                if len(selected) >= gen_cap:
-                    return selected
+    candidates = schreier_generators()
+    while chain.order() != stab_order:
+        sg = next(candidates, None)
+        if sg is None:
+            raise RuntimeError(
+                f"Schreier generators of {rep:#x} generate {chain.order()} "
+                f"elements, not |AGL| / |orbit| = {stab_order}"
+            )
+        if not chain.contains(sg):
+            selected.append(sg)
+            chain.add(sg)
     return selected
-
-
-def stabilizer_generators(
-    rep: QuotientFunction, classification: Classification
-) -> list[AffineTransformation]:
-    """Generators of the stabilizer of a stored representative."""
-    if rep.space.params != classification.space.params:
-        raise ValueError("space mismatch")
-    idx = classification.rep_index(rep.key)
-    if idx is None:
-        raise ValueError("function is not a stored representative")
-    stored = (
-        classification.stabilizer_gens[idx]
-        if classification.stabilizer_gens is not None
-        else None
-    )
-    if stored is not None:
-        return stored
-    gens = classification.generators or agl_generators(rep.m)
-    images = [action_matrix(rep.space, g) for g in gens]
-    size = (
-        classification.orbit_sizes[idx]
-        if classification.orbit_sizes is not None
-        else _orbit_size_bfs(images, rep.key)
-    )
-    if size > DEFAULT_STAB_ORBIT_GUARD:
-        raise SpaceTooLargeError("orbit exceeds the stabilizer guard")
-    out = _orbit_stabilizer_gens(
-        rep.m,
-        gens,
-        images,
-        rep.key,
-        size,
-        closure_guard=DEFAULT_CLOSURE_GUARD,
-        gen_cap=DEFAULT_STAB_GEN_CAP,
-    )
-    if classification.stabilizer_gens is not None:
-        classification.stabilizer_gens[idx] = out
-    return out
-
-
-def _orbit_size_bfs(images_per_gen: Sequence[Sequence[int]], start: int) -> int:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for images in images_per_gen:
-            y = apply_key(images, x)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen)
 
 
 # --- cover sets --------------------------------------------------------------
@@ -487,7 +383,8 @@ def reduce_cover_set(
     per orbit survives.  The translations span a subspace T that every u
     maps into itself, so the orbits are unions of T-cosets and the walk runs
     on V/T: each coset is named by its smallest key, which has no pivot bit
-    of T set, and numbered densely by deleting those bits.
+    of T set, and numbered densely by deleting those bits.  Stabilizer lists
+    may come from a file, so each u is checked to fix g and to map T into T.
     """
     _check_sub(s, t, m, sub)
     if sub.stabilizer_gens is None:
@@ -523,6 +420,11 @@ def reduce_cover_set(
                 raise ValueError(
                     f"stabilizer generator of class {g_idx} does not preserve "
                     "the span of the alpha*g translations"
+                )
+            if apply_key(action_matrix(sub.space, u), g_fn.key) != g_fn.key:
+                raise ValueError(
+                    f"stabilizer generator of class {g_idx} does not fix its "
+                    "representative"
                 )
             tables.append(
                 _byte_tables(

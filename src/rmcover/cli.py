@@ -37,7 +37,7 @@ from .nonlinearity import (
     nl_probe,
     scan_representatives,
 )
-from .quotient import quotient_space
+from .quotient import QuotientSpace, quotient_space
 
 
 def _space_triple(text: str) -> tuple[int, int, int]:
@@ -86,6 +86,15 @@ def _read_functions(path: str, m: int) -> list[bf.BooleanFunction]:
     return out
 
 
+def _window_function(space: QuotientSpace, f: bf.BooleanFunction, name: str):
+    """The element of the window whose ANF is that of f; refuses any f with
+    a monomial outside the window's degrees."""
+    anf = bf.mobius_transform(f.tt, space.m)
+    if anf & ~space.support:
+        raise ValueError(f"{name} lies outside the window")
+    return space.function(space.key_from_anf(anf))
+
+
 def _default_jobs() -> int:
     return int(os.environ.get("RMCOVER_JOBS", "1"))
 
@@ -99,7 +108,7 @@ def _cmd_oracle(args) -> int:
         s,
         t,
         m,
-        stabilizers="auto" if args.stabilizers else False,
+        stabilizers=args.stabilizers,
         space_guard=args.guard,
     )
     save_classification(cls, args.out)
@@ -141,11 +150,7 @@ def _cmd_invariant(args) -> int:
     lines = _report_header(args)
     lines.append(f"# classification {sub.digest}")
     for f in _read_functions(args.infile, m):
-        anf = bf.mobius_transform(f.tt, m)
-        if anf & ~space.support:
-            raise ValueError("input function lies outside the window")
-        qf = space.function(space.key_from_anf(anf))
-        cm = class_map(qf, sub)
+        cm = class_map(_window_function(space, f, "input function"), sub)
         sj = j_signature(cm)
         sh = j_hat_signature(cm)
         pairs = ",".join(f"{v}:{c}" for v, c in sj.pairs)
@@ -160,16 +165,8 @@ def _cmd_equiv(args) -> int:
     s, t, m = args.space
     sub = load_classification(args.sub)
     space = quotient_space(s, t, m)
-
-    def to_q(text):
-        f = bf.parse_function(text, m)
-        anf = bf.mobius_transform(f.tt, m)
-        if anf & ~space.support:
-            raise ValueError(f"{text!r} lies outside the window")
-        return space.function(space.key_from_anf(anf))
-
-    f = to_q(args.f)
-    g = to_q(args.g)
+    f = _window_function(space, bf.parse_function(args.f, m), repr(args.f))
+    g = _window_function(space, bf.parse_function(args.g, m), repr(args.g))
     out = equivalent(f, g, sub, iter_budget=args.iter, rng=Random(args.seed))
     lines = _report_header(args, args.seed)
     lines.append(f"verdict {out.verdict}")

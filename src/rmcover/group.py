@@ -7,7 +7,7 @@ s = (A, a) acts on points by s(x) = A*x + a and must have invertible A.
 
 from __future__ import annotations
 
-import hashlib
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence
@@ -187,6 +187,63 @@ def agl_order(m: int) -> int:
     return order
 
 
-def transformation_digest(s: AffineTransformation) -> str:
-    packed = ",".join(format(r, "x") for r in s.rows) + ";" + format(s.trans, "x")
-    return hashlib.sha256(packed.encode()).hexdigest()[:12]
+class _StabilizerChain:
+    """Stabilizer chain of a subgroup of AGL(m,2), grown by Schreier-Sims.
+
+    The base is the affine basis 0, e_1, ..., e_m, which only the identity
+    fixes.  Level i keeps the strong generators that fix base[:i] and the
+    orbit of base[i] under them, as a dict from each point p to the inverse
+    of a coset representative that maps base[i] to p.  Every Schreier
+    generator of a level sifts through the levels below it, so the group
+    order is the product of the orbit lengths.
+    """
+
+    def __init__(self, m: int):
+        self.base = [0] + [1 << i for i in range(m)]
+        self.gens: list[list[AffineTransformation]] = [[] for _ in self.base]
+        self.orbits = [{b: identity(m)} for b in self.base]
+        self._checked: list[set[tuple[int, int]]] = [set() for _ in self.base]
+
+    def order(self) -> int:
+        return math.prod(len(orbit) for orbit in self.orbits)
+
+    def sift(self, g: AffineTransformation, level: int = 0):
+        """Strip g by the coset representatives from level on.
+
+        Returns the residue and the level whose orbit misses its image of
+        the base point, or None as the level when g is in the group.
+        """
+        for i in range(level, len(self.base)):
+            inv = self.orbits[i].get(g.apply(self.base[i]))
+            if inv is None:
+                return g, i
+            g = compose(inv, g)
+        return g, None
+
+    def contains(self, g: AffineTransformation) -> bool:
+        return self.sift(g)[1] is None
+
+    def add(self, g: AffineTransformation, level: int = 0) -> None:
+        """Extend the group by g, which fixes base[:level]."""
+        g, j = self.sift(g, level)
+        if j is None:
+            return
+        for i in range(j + 1):
+            self.gens[i].append(g)
+        for i in range(j, -1, -1):
+            orbit, gens, checked = self.orbits[i], self.gens[i], self._checked[i]
+            # a nested add may grow this level too; loop until every
+            # (point, generator) pair has been visited
+            while pending := [
+                (p, k) for p in orbit for k in range(len(gens)) if (p, k) not in checked
+            ]:
+                for p, k in pending:
+                    if (p, k) in checked:
+                        continue
+                    checked.add((p, k))
+                    x = compose(gens[k], invert(orbit[p]))
+                    q = x.apply(self.base[i])
+                    if q in orbit:
+                        self.add(x, i)
+                    else:
+                        orbit[q] = invert(x)

@@ -155,13 +155,6 @@ def q_apply_affine(qf: QuotientFunction, s: AffineTransformation) -> QuotientFun
     return qf.space.function(qf.space.key_from_anf(bf.mobius_transform(tt.tt, tt.m)))
 
 
-def quotient_derivative(qf: QuotientFunction, v: int) -> QuotientFunction:
-    """Directional derivative, landing in the (s-1, t-1, m) window."""
-    target = quotient_space(qf.s - 1, qf.t - 1, qf.m)
-    der = bf.derivative(qf.lift(), v)
-    return target.function(target.key_from_anf(bf.mobius_transform(der.tt, der.m)))
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """f = x_m * g + h with g one window lower and h one variable shorter."""

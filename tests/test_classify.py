@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 from rmcover import (
+    AffineTransformation,
     SpaceTooLargeError,
     UndecidableError,
     agl_order,
@@ -19,8 +20,8 @@ from rmcover import (
     random_affine,
     reduce_cover_set,
     save_classification,
-    stabilizer_generators,
 )
+from rmcover.group import _StabilizerChain
 
 
 def orbit_minima_reference(s, t, m, sub):
@@ -121,43 +122,92 @@ class TestOrbitEnumerate:
 
 class TestStabilizers:
     def test_zero_rep_generates_full_group(self, sub112):
-        gens = stabilizer_generators(sub112.rep_function(0), sub112)
-        assert closure_size(gens, 2) == 24
+        assert closure_size(sub112.stabilizer_gens[0], 2) == 24
 
     def test_generators_fix_representative(self, oracle223):
         for i in range(oracle223.n_classes):
             rep = oracle223.rep_function(i)
-            for g in stabilizer_generators(rep, oracle223):
+            for g in oracle223.stabilizer_gens[i]:
                 assert q_apply_affine(rep, g) == rep
 
     def test_orbit_stabilizer_theorem(self, oracle223, sub112):
         for cls in (oracle223, sub112):
             m = cls.space.m
             for i in range(cls.n_classes):
-                gens = stabilizer_generators(cls.rep_function(i), cls)
+                gens = cls.stabilizer_gens[i]
                 assert closure_size(gens, m) * cls.orbit_sizes[i] == agl_order(m)
 
-    def test_pruned_generators_are_irredundant(self, sub124):
-        # below the closure guard each selected generator lies outside the
-        # group of the ones before it, and together they generate all of Stab
-        pruned = 0
-        for i in range(sub124.n_classes):
-            stab_order = agl_order(4) // sub124.orbit_sizes[i]
-            gens = sub124.stabilizer_gens[i]
-            if stab_order > 1 << 16:
-                continue
-            pruned += 1
-            for k, g in enumerate(gens):
-                assert (g.rows, g.trans) not in closure_keys(gens[:k], 4)
-            assert closure_size(gens, 4) == stab_order
-        assert pruned == 4
+    def test_pruned_generators_are_irredundant(self, sub123, sub124):
+        # each selected generator lies outside the group of the ones before
+        # it, and together they generate all of Stab; the closure of class 0
+        # of sub124 (all 322560 elements of AGL(4,2)) takes about 10 s to
+        # enumerate, so that class is checked by the chain's order instead
+        for cls in (sub123, sub124):
+            m = cls.space.m
+            for i in range(cls.n_classes):
+                stab_order = agl_order(m) // cls.orbit_sizes[i]
+                gens = cls.stabilizer_gens[i]
+                for k, g in enumerate(gens):
+                    assert (g.rows, g.trans) not in closure_keys(gens[:k], m)
+                if stab_order > 1 << 16:
+                    chain = _StabilizerChain(m)
+                    for g in gens:
+                        chain.add(g)
+                    assert chain.order() == stab_order
+                else:
+                    assert closure_size(gens, m) == stab_order
 
-    def test_non_representative_rejected(self, oracle234):
-        space = oracle234.space
-        non_rep = space.function(oracle234.reps[1] ^ oracle234.reps[2])
-        if non_rep.key not in oracle234.reps:
-            with pytest.raises(ValueError):
-                stabilizer_generators(non_rep, oracle234)
+
+class TestStabilizerChain:
+    @staticmethod
+    def subgroup_generators(m, rng):
+        """Generators of the trivial group, a cyclic group, a group of
+        unitriangular affine maps, a linear group or (m < 4) any group."""
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.choice([[], [identity(m)]])
+        if kind == 1:
+            return [random_affine(m, rng)]
+        n = rng.randrange(1, 4)
+        if kind == 2:
+            return [
+                AffineTransformation(
+                    m,
+                    tuple(
+                        (1 << i) | (rng.getrandbits(m) & -(2 << i) & ((1 << m) - 1))
+                        for i in range(m)
+                    ),
+                    rng.getrandbits(m),
+                )
+                for _ in range(n)
+            ]
+        gens = [random_affine(m, rng) for _ in range(n)]
+        if kind == 3 or m == 4:
+            gens = [AffineTransformation(m, g.rows, 0) for g in gens]
+        return gens
+
+    def test_order_and_membership_match_closure(self):
+        rng = random.Random(17)
+        orders = set()
+        for m in (2, 3, 4):
+            for _ in range(12):
+                gens = self.subgroup_generators(m, rng)
+                chain = _StabilizerChain(m)
+                for g in gens:
+                    chain.add(g)
+                closure = closure_keys(gens, m)
+                assert chain.order() == len(closure)
+                orders.add((m, len(closure)))
+                members = [AffineTransformation(m, *key) for key in closure]
+                for _ in range(20):
+                    x = random_affine(m, rng)
+                    assert chain.contains(x) == ((x.rows, x.trans) in closure)
+                    y = rng.choice(members)
+                    assert chain.contains(y)
+        # proper subgroups of several sizes at every m, the trivial group included
+        for m in (2, 3, 4):
+            assert (m, 1) in orders
+            assert len({n for mm, n in orders if mm == m and 1 < n < agl_order(m)}) >= 2
 
 
 class TestCoverSets:
@@ -266,6 +316,28 @@ class TestCoverSets:
         broken.stabilizer_gens = list(sub123.stabilizer_gens)
         broken.stabilizer_gens[1] = [swap]
         with pytest.raises(ValueError, match="does not preserve"):
+            reduce_cover_set(2, 3, 4, broken)
+
+    def test_stabilizer_must_fix_representative(self, sub123):
+        # a random map that keeps the translations of g = ab+c in their span
+        # but moves g itself
+        import copy
+
+        from rmcover.quotient import multiply_affine_form
+
+        g = sub123.rep_function(3)
+        assert repr(g) == "(1,2,3):ab+c"
+        u = random_affine(3, random.Random(0))
+        assert q_apply_affine(g, u) != g
+        shifts = [multiply_affine_form(1 << a, g, 2, 3) for a in (0, 1, 2, 4)]
+        span = {0}
+        for sh in shifts:
+            span |= {x ^ sh.key for x in span}
+        assert all(q_apply_affine(sh, u).key in span for sh in shifts)
+        broken = copy.copy(sub123)
+        broken.stabilizer_gens = list(sub123.stabilizer_gens)
+        broken.stabilizer_gens[3] = [u]
+        with pytest.raises(ValueError, match="class 3 does not fix"):
             reduce_cover_set(2, 3, 4, broken)
 
     def test_missing_stabilizers_rejected(self, sub123):

@@ -185,6 +185,26 @@ class TestCli:
         assert code == 0
         assert out.count("J ") == 2 and out.count("Jhat ") == 2
 
+    def test_function_outside_window_refused(self, tmp_path, capsys):
+        # ab+c has a linear monomial, below the window's degrees 2..3
+        sub = tmp_path / "sub.cls"
+        run(["oracle", "--s", "1", "--t", "2", "--m", "3", "--out", str(sub)], capsys)
+        fns = tmp_path / "fns.txt"
+        fns.write_text("abc\nab+c\n")
+        code, out, err = run(
+            ["invariant", "--space", "2,3,4", "--sub", str(sub), "--in", str(fns)],
+            capsys,
+        )
+        assert code == 2 and "outside the window" in err and out == ""
+        code, out, err = run(
+            [
+                "equiv", "--space", "2,3,4", "--sub", str(sub),
+                "--f", "abc", "--g", "ab+c",
+            ],
+            capsys,
+        )
+        assert code == 2 and "outside the window" in err and out == ""
+
     def test_unknown_subcommand(self, capsys):
         code = main(["frobnicate"])
         _ = capsys.readouterr()
