@@ -43,7 +43,6 @@ from .quotient import (
 
 DEFAULT_SPACE_GUARD = 1 << 26
 DEFAULT_INNER_GUARD = 1 << 24
-DEFAULT_STAB_ORBIT_GUARD = 1 << 16
 
 
 class SpaceTooLargeError(RuntimeError):
@@ -81,7 +80,6 @@ class Classification:
     # classification of the next window down, used by class_of when this
     # window is too large for a complete lookup; never serialized
     fallback_sub: Optional["Classification"] = field(default=None, repr=False)
-    _rep_index: Optional[dict] = field(default=None, repr=False)
     _rep_jhat: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -97,11 +95,6 @@ class Classification:
 
     def rep_functions(self) -> list[QuotientFunction]:
         return [self.space.function(k) for k in self.reps]
-
-    def rep_index(self, key: int) -> Optional[int]:
-        if self._rep_index is None:
-            self._rep_index = {k: i for i, k in enumerate(self.reps)}
-        return self._rep_index.get(key)
 
     def ensure_lookup(self, *, space_guard: int = DEFAULT_SPACE_GUARD) -> None:
         """Rebuild the complete orbit map by BFS if it is missing."""
@@ -164,6 +157,50 @@ def _apply_tables(keys: np.ndarray, tables: np.ndarray) -> np.ndarray:
     return acc
 
 
+_SCAN_BLOCK = 1 << 12
+
+
+def _unlabeled(labels: np.ndarray) -> Iterable[int]:
+    """Yield the smallest key whose label is negative, again after each orbit.
+
+    The caller labels the orbit of each yielded key before asking for the
+    next one, so every key below the last one yielded is labeled and the
+    scan resumes there, one block at a time.
+    """
+    start = 0
+    while start < len(labels):
+        hits = np.flatnonzero(labels[start : start + _SCAN_BLOCK] < 0)
+        if hits.size:
+            start += int(hits[0])
+            yield start
+        else:
+            start += _SCAN_BLOCK
+
+
+def _walk_orbit(
+    tables: Sequence[np.ndarray], labels: np.ndarray, start: int, value: int
+) -> int:
+    """Write value over the orbit of start, found by a frontier BFS; return its size.
+
+    The orbit must be unlabeled (negative) when the walk begins.
+    """
+    labels[start] = value
+    frontier = np.array([start], dtype=np.int64)
+    size = 1
+    while frontier.size:
+        parts = []
+        for tab in tables:
+            img = _apply_tables(frontier, tab)
+            fresh = img[labels[img] < 0]
+            if fresh.size:
+                fresh = np.unique(fresh)
+                labels[fresh] = value
+                parts.append(fresh)
+                size += fresh.size
+        frontier = np.concatenate(parts) if parts else frontier[:0]
+    return size
+
+
 def orbit_enumerate(
     s: int,
     t: int,
@@ -177,8 +214,8 @@ def orbit_enumerate(
 
     Representatives are the smallest key of each orbit, listed in increasing
     order, so the numbering is deterministic.  Returns the complete lookup
-    and, for orbits within the stabilizer guard, irredundant generators of
-    the per-representative stabilizers.
+    and, with ``stabilizers``, irredundant generators of the stabilizer of
+    every representative.
     """
     space = quotient_space(s, t, m)
     n = 1 << space.dim
@@ -193,39 +230,16 @@ def orbit_enumerate(
     lookup = np.full(n, -1, dtype=np.int32)
     reps: list[int] = []
     sizes: list[int] = []
-
-    remaining = np.flatnonzero(lookup < 0)
-    while remaining.size:
-        start = int(remaining[0])
-        cls = len(reps)
+    for start in _unlabeled(lookup):
+        sizes.append(_walk_orbit(tables, lookup, start, len(reps)))
         reps.append(start)
-        lookup[start] = cls
-        frontier = np.array([start], dtype=np.int64)
-        size = 1
-        while frontier.size:
-            parts = []
-            for tab in tables:
-                img = _apply_tables(frontier, tab)
-                fresh = img[lookup[img] < 0]
-                if fresh.size:
-                    fresh = np.unique(fresh)
-                    lookup[fresh] = cls
-                    parts.append(fresh)
-                    size += fresh.size
-            frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        sizes.append(size)
-        remaining = np.flatnonzero(lookup < 0)
 
     stab_lists: Optional[list[Optional[list[AffineTransformation]]]] = None
     if stabilizers:
-        stab_lists = []
-        for cls, rep in enumerate(reps):
-            if sizes[cls] > DEFAULT_STAB_ORBIT_GUARD:
-                stab_lists.append(None)
-                continue
-            stab_lists.append(
-                _orbit_stabilizer_gens(m, gens, images_per_gen, rep, sizes[cls])
-            )
+        stab_lists = [
+            _orbit_stabilizer_gens(m, gens, images_per_gen, rep, size)
+            for rep, size in zip(reps, sizes)
+        ]
 
     return Classification(
         space=space,
@@ -247,50 +261,42 @@ def _orbit_stabilizer_gens(
 ) -> list[AffineTransformation]:
     """Irredundant generators of the stabilizer of rep.
 
-    The Schreier generators from a transversal BFS are visited in BFS order,
-    and one is kept exactly when it does not sift through the stabilizer
-    chain of those kept before it.  The walk stops once the chain has the
-    order |AGL| / |orbit| that orbit-stabilizer gives for Stab(rep).
+    One BFS from rep builds the transversal as it goes: an edge (x, g) that
+    reaches a new point y sets t_y = t_x g, and its Schreier generator is the
+    identity; an edge that reaches a known y gives t_x g t_y^-1, which is
+    kept exactly when it does not sift through the stabilizer chain of those
+    kept before it.  The walk stops as soon as the chain has the order
+    |AGL| / |orbit| that orbit-stabilizer gives for Stab(rep), usually long
+    before the orbit is covered.
     """
-    transversal: dict[int, AffineTransformation] = {rep: identity(m)}
-    order: list[int] = [rep]
-    queue = deque([rep])
-    while queue:
-        x = queue.popleft()
-        tx = transversal[x]
-        for gi, images in enumerate(images_per_gen):
-            y = apply_key(images, x)
-            if y not in transversal:
-                transversal[y] = compose(tx, gens[gi])
-                order.append(y)
-                queue.append(y)
-    assert len(transversal) == orbit_size
-
-    def schreier_generators():
-        inv_transversal: dict[int, AffineTransformation] = {}
-        for x in order:
-            tx = transversal[x]
-            for gi, images in enumerate(images_per_gen):
-                y = apply_key(images, x)
-                ty_inv = inv_transversal.get(y)
-                if ty_inv is None:
-                    ty_inv = inv_transversal[y] = invert(transversal[y])
-                yield compose(compose(tx, gens[gi]), ty_inv)
-
     stab_order = agl_order(m) // orbit_size
-    chain = _StabilizerChain(m)
+    chain = _StabilizerChain(m, stab_order)
     selected: list[AffineTransformation] = []
-    candidates = schreier_generators()
+    transversal: dict[int, AffineTransformation] = {rep: identity(m)}
+    inv_transversal: dict[int, AffineTransformation] = {}
+    queue = deque([rep])
     while chain.order() != stab_order:
-        sg = next(candidates, None)
-        if sg is None:
+        if not queue:
             raise RuntimeError(
                 f"Schreier generators of {rep:#x} generate {chain.order()} "
                 f"elements, not |AGL| / |orbit| = {stab_order}"
             )
-        if not chain.contains(sg):
-            selected.append(sg)
-            chain.add(sg)
+        x = queue.popleft()
+        tx = transversal[x]
+        for gi, images in enumerate(images_per_gen):
+            y = apply_key(images, x)
+            txg = compose(tx, gens[gi])
+            if y not in transversal:
+                transversal[y] = txg
+                queue.append(y)
+                continue
+            ty_inv = inv_transversal.get(y)
+            if ty_inv is None:
+                ty_inv = inv_transversal[y] = invert(transversal[y])
+            sg = compose(txg, ty_inv)
+            if not chain.contains(sg):
+                selected.append(sg)
+                chain.add(sg)
     return selected
 
 
@@ -432,29 +438,12 @@ def reduce_cover_set(
                 )
             )
 
-        n = 1 << len(free)
-        visited = np.zeros(n, dtype=bool)
-        remaining = np.flatnonzero(~visited)
-        while remaining.size:
-            start = int(remaining[0])
+        labels = np.full(1 << len(free), -1, dtype=np.int8)
+        for start in _unlabeled(labels):
+            _walk_orbit(tables, labels, start, 0)
             entries.append(
                 (g_idx, sum(((start >> j) & 1) << q for j, q in enumerate(free)))
             )
-            visited[start] = True
-            frontier = np.array([start], dtype=np.int64)
-            while frontier.size:
-                parts = []
-                for tab in tables:
-                    img = _apply_tables(frontier, tab)
-                    fresh = img[~visited[img]]
-                    if fresh.size:
-                        fresh = np.unique(fresh)
-                        visited[fresh] = True
-                        parts.append(fresh)
-                frontier = (
-                    np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-                )
-            remaining = np.flatnonzero(~visited)
 
     return CoverSet(s, t, m, len(entries), entries)
 

@@ -196,9 +196,17 @@ class _StabilizerChain:
     of a coset representative that maps base[i] to p.  Every Schreier
     generator of a level sifts through the levels below it, so the group
     order is the product of the orbit lengths.
+
+    ``order`` is the order of a group known to contain every element added,
+    such as |AGL| / |orbit| for a stabilizer.  Each stored orbit lies in the
+    orbit of the generated group H, so the product of their lengths is at
+    most |H|, which is at most ``order``; once the product reaches it, the
+    chain is complete and ``add`` returns without visiting the Schreier
+    generators left over.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, order: int):
+        self.target = order
         self.base = [0] + [1 << i for i in range(m)]
         self.gens: list[list[AffineTransformation]] = [[] for _ in self.base]
         self.orbits = [{b: identity(m)} for b in self.base]
@@ -238,6 +246,8 @@ class _StabilizerChain:
                 (p, k) for p in orbit for k in range(len(gens)) if (p, k) not in checked
             ]:
                 for p, k in pending:
+                    if self.order() == self.target:
+                        return
                     if (p, k) in checked:
                         continue
                     checked.add((p, k))

@@ -1,8 +1,8 @@
 """Process-pool helpers for the embarrassingly parallel inner loops.
 
-Workers receive small picklable payloads; shared read-only state (a
-classification, a generator matrix) is rebuilt once per worker through the
-pool initializer.
+Tasks are small picklable payloads.  Shared read-only state (the lower-window
+classification with its lookup, the probe parameters) reaches each worker
+once, through the pool initializer.
 """
 
 from __future__ import annotations
@@ -13,32 +13,9 @@ _BUCKET_STATE: dict = {}
 _PROBE_STATE: dict = {}
 
 
-def _classification_payload(sub):
-    chain = None
-    if sub.fallback_sub is not None:
-        chain = _classification_payload(sub.fallback_sub)
-    return (tuple(sub.space.params), tuple(sub.reps), sub.provenance, sub.digest, chain)
-
-
-def _classification_from_payload(payload):
-    from .classify import Classification
+def _bucket_init(space_params, sub, budget_iter, seed, retries):
     from .quotient import quotient_space
 
-    params, reps, provenance, digest, chain = payload
-    return Classification(
-        space=quotient_space(*params),
-        reps=list(reps),
-        provenance=provenance,
-        digest=digest,
-        fallback_sub=_classification_from_payload(chain) if chain else None,
-    )
-
-
-def _bucket_init(space_params, sub_payload, budget_iter, seed, retries):
-    from .quotient import quotient_space
-
-    sub = _classification_from_payload(sub_payload)
-    sub.ensure_classifiable()
     _BUCKET_STATE["space"] = quotient_space(*space_params)
     _BUCKET_STATE["sub"] = sub
     _BUCKET_STATE["budget"] = budget_iter
@@ -60,11 +37,11 @@ def _bucket_worker(keys):
 
 
 def resolve_buckets_parallel(space_params, sub, tasks, budget_iter, seed, jobs, retries):
-    payload = _classification_payload(sub)
+    """Merge invariant buckets across a pool; sub must already be classifiable."""
     with ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_bucket_init,
-        initargs=(tuple(space_params), payload, budget_iter, seed, retries),
+        initargs=(tuple(space_params), sub, budget_iter, seed, retries),
     ) as pool:
         return list(pool.map(_bucket_worker, tasks))
 

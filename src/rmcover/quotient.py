@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import boolfun as bf
 from .boolfun import AnfPolynomial, BooleanFunction
-from .group import AffineTransformation, gf2_rank, matvec
+from .group import AffineTransformation
 
 
 @lru_cache(maxsize=None)

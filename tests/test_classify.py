@@ -72,6 +72,11 @@ def closure_size(gens, m):
     return len(closure_keys(gens, m))
 
 
+@pytest.fixture(scope="module")
+def oracle235():
+    return orbit_enumerate(2, 3, 5)
+
+
 class TestOrbitEnumerate:
     def test_quadratic_forms_three_vars(self, oracle223):
         assert oracle223.n_classes == 2
@@ -150,12 +155,24 @@ class TestStabilizers:
                 for k, g in enumerate(gens):
                     assert (g.rows, g.trans) not in closure_keys(gens[:k], m)
                 if stab_order > 1 << 16:
-                    chain = _StabilizerChain(m)
+                    chain = _StabilizerChain(m, stab_order)
                     for g in gens:
                         chain.add(g)
                     assert chain.order() == stab_order
                 else:
                     assert closure_size(gens, m) == stab_order
+
+    def test_orbits_beyond_2_16_get_whole_stabilizers(self, oracle235):
+        # orbits of 79360, 416640, 277760 and 166656 points, far more than
+        # the stabilizer walk visits before its chain reaches |Stab|
+        large = [i for i, n in enumerate(oracle235.orbit_sizes) if n > 1 << 16]
+        assert len(large) == 4
+        for i in large:
+            rep = oracle235.rep_function(i)
+            closure = closure_keys(oracle235.stabilizer_gens[i], 5)
+            assert len(closure) == agl_order(5) // oracle235.orbit_sizes[i]
+            for key in closure:
+                assert q_apply_affine(rep, AffineTransformation(5, *key)) == rep
 
 
 class TestStabilizerChain:
@@ -192,10 +209,12 @@ class TestStabilizerChain:
         for m in (2, 3, 4):
             for _ in range(12):
                 gens = self.subgroup_generators(m, rng)
-                chain = _StabilizerChain(m)
+                closure = closure_keys(gens, m)
+                # the chain stops adding once it reaches the closure's order,
+                # so membership below is tested on a chain that stopped early
+                chain = _StabilizerChain(m, len(closure))
                 for g in gens:
                     chain.add(g)
-                closure = closure_keys(gens, m)
                 assert chain.order() == len(closure)
                 orders.add((m, len(closure)))
                 members = [AffineTransformation(m, *key) for key in closure]
@@ -403,6 +422,14 @@ class TestPipeline:
         cls, report = classify_pipeline(3, 4, 5, oracle234, budget_iter=2048, seed=0)
         assert cls.n_classes == oracle345.n_classes
         assert cls.reps == oracle345.reps
+        assert not report.unresolved_pairs
+
+    def test_oracle_235_feeds_pipeline_346(self, oracle235):
+        # 34 is the class count of B(2,3,6), the dual window of B(3,4,6):
+        # an element fixes as many points of a window as of its dual, so
+        # Burnside gives both windows the same number of orbits
+        cls, report = classify_pipeline(3, 4, 6, oracle235, seed=0)
+        assert cls.n_classes == 34
         assert not report.unresolved_pairs
 
     def test_parallel_jobs_agree(self, sub123, oracle234):
