@@ -39,7 +39,7 @@ from .equivalence import (
     NOT_EQUIV,
     UNDEFINED,
     EquivalenceOutcome,
-    admissible,
+    admissible_mask,
     candidate_checking,
     equivalent,
 )

@@ -5,15 +5,21 @@ composition of the other modulo the window floor.  The test filters on the
 Walsh distribution invariant, then searches depth-first for a linear
 candidate compatible with the Walsh transforms of the derivative class maps,
 and finally completes each candidate with an affine part through the
-derivative-subspace membership check.  Every returned witness is re-verified
-by direct recomposition before it is reported.
+derivative-subspace membership check.  Each search node computes one numpy
+mask of admissible images, and each node of the last level tests all its
+complete candidates at once for the degree-t part of the check before any of
+them reaches the full check.  Every returned witness is re-verified by direct
+recomposition before it is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .group import AffineTransformation, SingularMatrixError, compose, invert_rows
 from .invariant import class_map, fourier_map, j_hat_signature
@@ -63,29 +69,81 @@ def candidate_checking(
     return a
 
 
-def admissible(
+def admissible_mask(
     images: Sequence[int],
-    y: int,
     i: int,
     fh_f: Sequence[int],
     fh_fp: Sequence[int],
-    image_set: Optional[set] = None,
-) -> bool:
-    """Whether mapping basis vector b_i to y can extend the partial candidate.
+) -> np.ndarray:
+    """The images y to which basis vector b_i can extend the partial candidate.
 
     ``images`` holds the candidate images of the span of b_1..b_{i-1},
-    indexed by subset integer.  The extension is admissible when it keeps the
-    Walsh values matched on the enlarged span and keeps the map injective.
+    indexed by subset integer.  Entry y of the returned mask over all points
+    is True when mapping b_i to y keeps the Walsh values matched on the
+    enlarged span (fh_fp[images[z] ^ y] == fh_f[z | half] for every z below
+    half = 2^(i-1)) and keeps the map injective (y outside the image span).
     """
     half = 1 << (i - 1)
-    if image_set is None:
-        image_set = set(images[z] for z in range(half))
-    if y in image_set:
-        return False
-    for z in range(half):
-        if fh_fp[images[z] ^ y] != fh_f[z | half]:
-            return False
-    return True
+    span = np.asarray(images[:half])
+    fh_fp = np.asarray(fh_fp)
+    fh_f = np.asarray(fh_f)
+    points = np.arange(len(fh_fp))
+    ok = (fh_fp[span[:, None] ^ points] == fh_f[half : 2 * half, None]).all(0)
+    ok[span] = False
+    return ok
+
+
+@lru_cache(maxsize=None)
+def _leaf_tables(m: int, t: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """Parity table, degree-t masks and Moebius-top matrix of the leaf filter.
+
+    ``parity[y, x]`` is parity(y & x), so bit j of the point map of a matrix
+    with rows r_j is ``parity[r_j]``.  ``top[x, k]`` is 1 when point x lies
+    under ``masks[k]``, so the degree-t ANF coefficients of a 0/1 truth
+    table v are ``v @ top`` mod 2 (exact in float32 for sums below 2^24).
+    The arrays are shared by every caller and read-only.
+    """
+    points = np.arange(1 << m)
+    parity = (np.bitwise_count(points[:, None] & points) & 1).astype(np.intp)
+    masks = tuple(mask for mask in range(1 << m) if mask.bit_count() == t)
+    under = (points[:, None] & np.array(masks, dtype=np.intp)) == points[:, None]
+    top = under.astype(np.float32)
+    parity.setflags(write=False)
+    top.setflags(write=False)
+    return parity, masks, top
+
+
+def top_degree_filter(f: QuotientFunction, fp: QuotientFunction):
+    """The leaf test of the search, batched over the last row of A.
+
+    Returns ``test(head, ys)``: a bool per y in ``ys`` telling whether f o A
+    and fp have the same ANF coefficients of degree t, where A has the m-1
+    rows ``head`` followed by y.  For invertible A this holds exactly when
+    deg(fp o A^-1 + f) <= t-1, since composing with A or A^-1 maps the
+    degree-t part of a function to the degree-t part of the image and keeps
+    lower terms lower; ``candidate_checking`` returns None whenever the test
+    fails.
+    """
+    if f.space.params != fp.space.params:
+        raise ValueError("space mismatch")
+    m, t = f.m, f.t
+    n = 1 << m
+    parity, masks, top = _leaf_tables(m, t)
+    tt = f.lift().tt
+    f_tt = np.array([(tt >> x) & 1 for x in range(n)], dtype=np.float32)
+    anf = fp.anf
+    fp_top = np.array([(anf >> mask) & 1 for mask in masks], dtype=np.float32)
+    weights = 1 << np.arange(m - 1)
+
+    def test(head: Sequence[int], ys: Sequence[int]) -> np.ndarray:
+        # Point maps of the candidates, one row per y: bit j of pm[k, x] is
+        # the parity of row j of A_k and x.
+        last = parity[np.asarray(ys, dtype=np.intp)] << (m - 1)
+        pm = (weights @ parity[list(head)]) ^ last
+        coeffs = np.fmod(f_tt[pm] @ top, 2)
+        return (coeffs == fp_top).all(1)
+
+    return test
 
 
 def equivalent(
@@ -100,11 +158,14 @@ def equivalent(
 
     Distinct Walsh distribution invariants settle NotEquiv outright.
     Otherwise f is pre-composed with a random affine map (which only
-    re-randomizes the deterministic search order), candidates are built
-    basis vector by basis vector, and each fully built candidate is checked
-    for an affine completion.  The budget counts fully built candidates that
-    fail the completion check; exhausting the candidate tree yields
-    NotEquiv, exhausting the budget yields Undefined.
+    re-randomizes the deterministic search order) and candidates are built
+    basis vector by basis vector.  Each node takes its admissible images from
+    one ``admissible_mask`` and tries them in a per-level shuffled order.  On
+    the last level, ``top_degree_filter`` tests the degree-t part of every
+    complete candidate of the node at once; only the candidates that pass it
+    are checked for an affine completion by ``candidate_checking``.  The
+    budget counts complete candidates that fail either test; exhausting the
+    candidate tree yields NotEquiv, exhausting the budget yields Undefined.
     """
     if f.space.params != fp.space.params:
         raise ValueError("space mismatch")
@@ -114,17 +175,16 @@ def equivalent(
     n = 1 << m
 
     sub.ensure_classifiable()
-    sig_f = j_hat_signature(class_map(f, sub))
-    sig_fp = j_hat_signature(class_map(fp, sub))
-    if sig_f != sig_fp:
+    cm_fp = class_map(fp, sub)
+    if j_hat_signature(class_map(f, sub)) != j_hat_signature(cm_fp):
         return EquivalenceOutcome(NOT_EQUIV, None, 0, 0)
 
     from .group import random_affine
 
     sr = random_affine(m, rng)
     fr = q_apply_affine(f, sr)
-    fh_f = fourier_map(class_map(fr, sub))
-    fh_fp = fourier_map(class_map(fp, sub))
+    fh_f = np.array(fourier_map(class_map(fr, sub)))
+    fh_fp = np.array(fourier_map(cm_fp))
 
     # Candidate images are tried in a per-level shuffled order.  When the
     # transform values barely constrain the search (near-flat spectra), a
@@ -135,45 +195,49 @@ def equivalent(
     for _ in range(m):
         level = list(range(n))
         rng.shuffle(level)
-        orders.append(level)
+        orders.append(np.array(level))
 
-    images = [0] * n
-    image_set: set[int] = set()
+    leaf_test = top_degree_filter(fr, fp)
+    images = np.zeros(n, dtype=np.intp)
     state = {"verdict": NOT_EQUIV, "witness": None, "tested": 0, "budget": iter_budget}
 
-    def search(i: int) -> None:
-        if i > m:
-            rows = tuple(images[1 << j] for j in range(m))
-            # A = transpose(A*): the rows of A are the basis images under A*.
-            state["tested"] += 1
-            try:
-                a = candidate_checking(rows, fr, fp)
-            except SingularMatrixError:
-                a = None
-            if a is not None:
-                witness = compose(sr, AffineTransformation(m, rows, a))
-                assert q_apply_affine(f, witness) == fp
-                state["verdict"] = EQUIV
-                state["witness"] = witness
+    def check_leaves(ys: np.ndarray) -> None:
+        # A = transpose(A*): the rows of A are the basis images under A*.
+        head = tuple(images[1 << j].item() for j in range(m - 1))
+        for y, passed in zip(ys.tolist(), leaf_test(head, ys).tolist()):
+            if state["verdict"] != NOT_EQUIV:
                 return
+            state["tested"] += 1
+            if passed:
+                rows = head + (y,)
+                try:
+                    a = candidate_checking(rows, fr, fp)
+                except SingularMatrixError:
+                    a = None
+                if a is not None:
+                    witness = compose(sr, AffineTransformation(m, rows, a))
+                    assert q_apply_affine(f, witness) == fp
+                    state["verdict"] = EQUIV
+                    state["witness"] = witness
+                    return
             state["budget"] -= 1
             if state["budget"] < 0:
                 state["verdict"] = UNDEFINED
+
+    def search(i: int) -> None:
+        order = orders[i - 1]
+        ys = order[admissible_mask(images, i, fh_f, fh_fp)[order]]
+        if i == m:
+            if len(ys):
+                check_leaves(ys)
             return
         half = 1 << (i - 1)
-        for y in orders[i - 1]:
+        for y in ys.tolist():
             if state["verdict"] != NOT_EQUIV:
                 return
-            if admissible(images, y, i, fh_f, fh_fp, image_set):
-                for z in range(half):
-                    img = images[z] ^ y
-                    images[z | half] = img
-                    image_set.add(img)
-                search(i + 1)
-                for z in range(half):
-                    image_set.discard(images[z | half])
+            images[half : 2 * half] = images[:half] ^ y
+            search(i + 1)
 
-    image_set.add(0)
     search(1)
     failed = iter_budget - state["budget"]
     return EquivalenceOutcome(state["verdict"], state["witness"], state["tested"], failed)

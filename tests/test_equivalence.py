@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rmcover import (
@@ -17,8 +18,9 @@ from rmcover import (
     quotient_space,
     random_affine,
 )
-from rmcover.equivalence import admissible
-from rmcover.group import identity_rows
+from rmcover.boolfun import anf_degree, mobius_transform
+from rmcover.equivalence import admissible_mask, top_degree_filter
+from rmcover.group import SingularMatrixError, identity_rows, invert_rows, matvec
 
 
 def qf(text, s, t, m):
@@ -79,7 +81,7 @@ class TestAdmissible:
         images = [0] * 16
         bad_y = [y for y in range(1, 16) if fh[y] != fh[1]]
         if bad_y:
-            assert not admissible(images, bad_y[0], 1, fh, fh)
+            assert not admissible_mask(images, 1, fh, fh)[bad_y[0]]
 
     def test_identity_continuation(self, sub123):
         f, fh = self._setup(sub123)
@@ -87,7 +89,7 @@ class TestAdmissible:
         ok = True
         for i in range(1, 5):
             y = 1 << (i - 1)
-            ok = ok and admissible(images, y, i, fh, fh)
+            ok = ok and admissible_mask(images, i, fh, fh)[y]
             half = 1 << (i - 1)
             for z in range(half):
                 images[z | half] = images[z] ^ y
@@ -98,8 +100,104 @@ class TestAdmissible:
         images = [0] * 16
         images[1] = 3
         # y inside the current image span is rejected no matter the values
-        assert not admissible(images, 3, 2, fh, fh)
-        assert not admissible(images, 0, 1, fh, fh)
+        assert not admissible_mask(images, 2, fh, fh)[3]
+        assert not admissible_mask(images, 1, fh, fh)[0]
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_mask_matches_per_y_loop(self, m):
+        sub = orbit_enumerate(1, 2, m - 1)
+        space = quotient_space(2, 3, m)
+        rng = random.Random(m)
+        n = 1 << m
+        # a flat spectrum leaves only the injectivity condition
+        spectra = [([0] * n, [0] * n)]
+        for _ in range(3):
+            f = space.function(rng.randrange(1 << space.dim))
+            fp = q_apply_affine(f, random_affine(m, rng))
+            spectra.append((fourier_map(class_map(f, sub)), fourier_map(class_map(fp, sub))))
+        admitted = 0
+        for fh_f, fh_fp in spectra:
+            for i in range(1, m + 1):
+                half = 1 << (i - 1)
+                # identity prefix, then random prefixes, dependent ones included
+                prefixes = [[1 << j for j in range(i - 1)]]
+                prefixes += [[rng.randrange(n) for _ in range(i - 1)] for _ in range(3)]
+                for rows in prefixes:
+                    images = [0] * n
+                    for j, row in enumerate(rows):
+                        for z in range(1 << j):
+                            images[z | (1 << j)] = images[z] ^ row
+                    span = set(images[:half])
+                    expect = [
+                        y not in span
+                        and all(fh_fp[images[z] ^ y] == fh_f[z | half] for z in range(half))
+                        for y in range(n)
+                    ]
+                    mask = admissible_mask(images, i, fh_f, fh_fp)
+                    assert mask.tolist() == expect
+                    admitted += sum(expect)
+        assert admitted
+
+
+def _top_coefficients_of_composition(f, rows, t):
+    """Degree-t ANF coefficients of f o A for any (possibly singular) A."""
+    tt = f.lift().tt
+    composed = 0
+    for x in range(1 << f.m):
+        composed |= ((tt >> matvec(rows, x)) & 1) << x
+    anf = mobius_transform(composed, f.m)
+    return [(anf >> mask) & 1 for mask in range(1 << f.m) if mask.bit_count() == t]
+
+
+class TestTopDegreeFilter:
+    @pytest.mark.parametrize("params", [(2, 3, 5), (3, 3, 5), (2, 3, 6)])
+    def test_exact_for_degree_test(self, params):
+        s, t, m = params
+        space = quotient_space(s, t, m)
+        rng = random.Random(sum(params))
+        n = 1 << m
+        singular = passed = 0
+        for _ in range(6):
+            f = space.function(rng.randrange(1 << space.dim))
+            fp = space.function(rng.randrange(1 << space.dim))
+            head = tuple(rng.randrange(n) for _ in range(m - 1))
+            if rng.random() < 0.5:
+                # the head of a witness, so that some y pass
+                w = random_affine(m, rng)
+                fp = q_apply_affine(f, w)
+                head = w.rows[:-1]
+            verdicts = top_degree_filter(f, fp)(head, np.arange(n)).tolist()
+            fp_top = [(fp.anf >> mask) & 1 for mask in range(n) if mask.bit_count() == t]
+            for y, verdict in enumerate(verdicts):
+                rows = head + (y,)
+                # The filter computes what it says for every A, singular or not.
+                assert verdict == (_top_coefficients_of_composition(f, rows, t) == fp_top)
+                try:
+                    ainv = invert_rows(rows, m)
+                except SingularMatrixError:
+                    singular += 1
+                    with pytest.raises(SingularMatrixError):
+                        candidate_checking(rows, f, fp)
+                    continue
+                # For invertible A it is exactly the degree test of candidate_checking.
+                g = q_apply_affine(fp, AffineTransformation(m, ainv, 0)) ^ f
+                assert verdict == (anf_degree(g.anf) <= t - 1)
+                if candidate_checking(rows, f, fp) is not None:
+                    assert verdict
+                passed += verdict
+        assert singular and passed
+
+    @pytest.mark.parametrize("params", [(2, 3, 5), (3, 3, 5), (2, 3, 6)])
+    def test_true_witness_always_passes(self, params):
+        s, t, m = params
+        space = quotient_space(s, t, m)
+        rng = random.Random(10 + sum(params))
+        for _ in range(20):
+            f = space.function(rng.randrange(1 << space.dim))
+            w = random_affine(m, rng)
+            fp = q_apply_affine(f, w)
+            ys = np.array([rng.randrange(1 << m), w.rows[-1], rng.randrange(1 << m)])
+            assert top_degree_filter(f, fp)(w.rows[:-1], ys)[1]
 
 
 class TestEquivalent:
@@ -184,3 +282,69 @@ class TestEquivalent:
         f = qf("ab", 2, 4, 4)
         with pytest.raises(ValueError):
             equivalent(f, f, sub123)
+
+
+# Full outcomes of seeded calls, recorded before the search moved to numpy
+# kernels: ((s, t, m), f key, fp key, budget, rng seed, verdict,
+# witness (rows, translation) or None, candidates_tested, budget_used).
+# Any change to the candidate tree or to the order in which it is visited
+# shows up here.
+GOLDEN = [
+    ((2, 3, 4), 663, 308, 64, 666, 'Equiv', ((7, 5, 1, 8), 6), 1, 0),
+    ((2, 3, 4), 98, 668, 4096, 642, 'Equiv', ((13, 11, 1, 9), 15), 1, 0),
+    ((2, 3, 4), 875, 226, 4, 715, 'Equiv', ((7, 14, 15, 4), 0), 1, 0),
+    ((2, 3, 4), 421, 1016, 4096, 544, 'NotEquiv', None, 0, 0),
+    ((2, 3, 4), 177, 22, 4, 28, 'Undefined', None, 5, 5),
+    ((2, 3, 4), 20, 50, 0, 0, 'Undefined', None, 1, 1),
+    ((2, 3, 5), 102712, 805763, 512, 684, 'Equiv', ((26, 3, 6, 9, 7), 5), 150, 149),
+    ((2, 3, 5), 60841, 838948, 512, 562, 'Equiv', ((30, 23, 28, 25, 24), 16), 54, 53),
+    ((2, 3, 5), 827049, 625443, 64, 437, 'Equiv', ((29, 12, 10, 16, 14), 21), 14, 13),
+    ((2, 3, 5), 366362, 754005, 16, 588, 'Equiv', ((18, 11, 20, 24, 2), 6), 6, 5),
+    ((2, 3, 5), 451267, 326313, 4096, 746, 'Equiv', ((21, 25, 6, 30, 9), 7), 1, 0),
+    ((2, 3, 5), 313247, 1037276, 4096, 334, 'NotEquiv', None, 0, 0),
+    ((2, 3, 5), 816875, 173224, 512, 142, 'Undefined', None, 513, 513),
+    ((2, 3, 5), 614588, 662409, 16, 187, 'Undefined', None, 17, 17),
+    ((2, 3, 5), 187615, 93957, 0, 275, 'Undefined', None, 1, 1),
+    ((3, 3, 5), 761, 245, 64, 561, 'Equiv', ((15, 14, 13, 21, 10), 18), 53, 52),
+    ((3, 3, 5), 436, 633, 4096, 742, 'Equiv', ((1, 29, 20, 5, 22), 27), 51, 50),
+    ((3, 3, 5), 718, 293, 512, 281, 'Equiv', ((15, 29, 25, 20, 30), 26), 33, 32),
+    ((3, 3, 5), 990, 206, 64, 976, 'Equiv', ((2, 16, 15, 19, 7), 27), 7, 6),
+    ((3, 3, 5), 346, 553, 4, 389, 'Equiv', ((16, 22, 7, 19, 26), 14), 1, 0),
+    ((3, 3, 5), 794, 176, 4096, 635, 'NotEquiv', None, 0, 0),
+    ((3, 3, 5), 604, 794, 64, 55, 'Undefined', None, 65, 65),
+    ((3, 3, 5), 869, 758, 4, 504, 'Undefined', None, 5, 5),
+    ((3, 3, 5), 802, 738, 0, 271, 'Undefined', None, 1, 1),
+    ((1, 2, 7), 1387520, 98591728, 1024, 914, 'Equiv', ((64, 20, 123, 29, 44, 119, 90), 56), 1, 0),
+    ((1, 2, 7), 176423081, 133592472, 64, 151, 'Equiv', ((24, 56, 66, 83, 35, 26, 37), 93), 22, 21),
+    ((1, 2, 7), 2622274, 121680764, 1024, 280, 'Equiv', ((27, 73, 30, 91, 25, 17, 124), 7), 1, 0),
+    ((1, 2, 7), 169846394, 113265471, 64, 542, 'Equiv', ((87, 24, 52, 109, 95, 43, 4), 99), 43, 42),
+    ((1, 2, 7), 169846394, 8452811, 1024, 175, 'Equiv', ((111, 46, 55, 104, 17, 32, 2), 127), 15, 14),
+    ((1, 2, 7), 7717064, 20375981, 64, 872, 'Undefined', None, 65, 65),
+    ((1, 2, 7), 222482741, 16935851, 64, 892, 'NotEquiv', None, 0, 0),
+    ((1, 2, 7), 52497570, 65411303, 4, 102, 'Undefined', None, 5, 5),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_subs(sub123, sub124, sub224):
+    return {(1, 2, 3): sub123, (1, 2, 4): sub124, (2, 2, 4): sub224,
+            (0, 1, 6): orbit_enumerate(0, 1, 6)}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("params", [(2, 3, 4), (2, 3, 5), (3, 3, 5), (1, 2, 7)])
+    def test_pinned_outcomes(self, params, golden_subs):
+        s, t, m = params
+        space = quotient_space(s, t, m)
+        sub = golden_subs[(max(s - 1, 0), t - 1, m - 1)]
+        cases = [case for case in GOLDEN if case[0] == params]
+        assert {case[5] for case in cases} == {EQUIV, NOT_EQUIV, UNDEFINED}
+        for _, fk, gk, budget, seed, verdict, witness, tested, used in cases:
+            out = equivalent(
+                space.function(fk), space.function(gk), sub,
+                iter_budget=budget, rng=random.Random(seed),
+            )
+            got = None if out.witness is None else (out.witness.rows, out.witness.trans)
+            assert (out.verdict, got, out.candidates_tested, out.budget_used) == (
+                verdict, witness, tested, used,
+            ), (fk, gk, budget, seed)
