@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .group import AffineTransformation
 
@@ -24,6 +25,7 @@ def _check_m(m: int) -> None:
         raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {m}")
 
 
+@lru_cache(maxsize=None)
 def _low_bit_mask(i: int, m: int) -> int:
     """Mask of the positions x < 2^m whose index bit i is zero."""
     step = 1 << i

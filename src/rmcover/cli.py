@@ -34,7 +34,7 @@ from .nonlinearity import (
     RadiusTable,
     bounds_propagate,
     exact_nonlinearity,
-    nl_probe,
+    probe_batch,
     scan_representatives,
 )
 from .quotient import QuotientSpace, quotient_space
@@ -95,8 +95,22 @@ def _window_function(space: QuotientSpace, f: bf.BooleanFunction, name: str):
     return space.function(space.key_from_anf(anf))
 
 
-def _default_jobs() -> int:
-    return int(os.environ.get("RMCOVER_JOBS", "1"))
+def _jobs(text: str) -> int:
+    """Worker count of ``--jobs``; its default, RMCOVER_JOBS or 1, passes
+    through here too, so a bad environment value fails like a bad flag."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: --jobs and RMCOVER_JOBS take a positive integer"
+        )
+    return jobs
+
+
+def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=_jobs, default=os.environ.get("RMCOVER_JOBS", "1"))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -181,12 +195,15 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_nl_probe(args) -> int:
     fns = _read_functions(args.infile, args.m)
+    # one shared walk: each line is nl_probe on that function alone
+    results = probe_batch(
+        args.k, args.m, [f.tt for f in fns], args.iter, args.limit, Random(args.seed)
+    )
     lines = _report_header(args, args.seed)
-    for i, f in enumerate(fns):
-        r = nl_probe(args.k, args.m, f, args.iter, args.limit, Random(args.seed + i))
+    for i, r in enumerate(results):
         lines.append(
             f"fn {i} found {str(r.found).lower()} best {r.best_weight} "
-            f"passes {r.passes_used} seed {args.seed + i}"
+            f"passes {r.passes_used} seed {args.seed}"
         )
     _emit(lines, args.out)
     return 0
@@ -299,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--budget-iter", dest="budget_iter", type=int, default=4096)
     pr.add_argument("--budget-retries", dest="budget_retries", type=int, default=3)
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_jobs_argument(pr)
     pr.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("invariant", help="distribution invariants of input functions")
@@ -343,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--iter", type=int, default=1 << 16)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--dirac", action="store_true", help="scan all dirac translates")
-    ps.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_jobs_argument(ps)
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=_cmd_nl_scan)
 

@@ -24,6 +24,9 @@ from .group import gf2_rank
 DEFAULT_ENUM_GUARD = 1 << 22
 DEFAULT_COSET_GUARD = 1 << 26
 _PIVOT_RETRY_CAP = 1 << 12
+# packed truth-table bits per scan walk: k = 4, m = 8 throughput peaks near
+# 1024 functions of 256 bits
+_CHUNK_BITS = 1 << 18
 
 
 class InfeasibleError(RuntimeError):
@@ -147,12 +150,14 @@ def probe_batch(
     n = 1 << m
     if any(tt >> n for tt in tts):
         raise ValueError(f"truth table wider than 2^{m} bits")
-    stride = -(-n // 8) * 8  # whole bytes per block, for the weight count
+    stride = _block_bits(m)
     g = list(gen.rows)
     nrows = len(g)
     count = len(tts)
-    ones = sum(1 << (b * stride) for b in range(count))
-    big = sum(tt << (b * stride) for b, tt in enumerate(tts))
+    block = stride // 8
+    # packed through bytes: summing shifted ints is quadratic in the batch size
+    ones = int.from_bytes((b"\x01" + bytes(block - 1)) * count, "little")
+    big = int.from_bytes(b"".join(tt.to_bytes(block, "little") for tt in tts), "little")
     best = [tt.bit_count() for tt in tts]
     passes = [0] * count
     live = [b for b in range(count) if best[b] > limit]
@@ -172,7 +177,7 @@ def probe_batch(
         if count == 1:
             weights = [big.bit_count()]
         else:
-            raw = np.frombuffer(big.to_bytes(count * stride // 8, "little"), dtype=np.uint8)
+            raw = np.frombuffer(big.to_bytes(count * block, "little"), dtype=np.uint8)
             weights = np.bitwise_count(raw).reshape(count, -1).sum(axis=1).tolist()
         if check_coset:
             mask = (1 << n) - 1
@@ -190,6 +195,11 @@ def probe_batch(
     for b in live:
         passes[b] = done
     return [ProbeResult(best[b] <= limit, best[b], passes[b]) for b in range(count)]
+
+
+def _block_bits(m: int) -> int:
+    """Bits per function in a packed batch: whole bytes, for the weight count."""
+    return max(8, 1 << m)
 
 
 def _random_pivot_int(row: int, n: int, rng: Random) -> int:
@@ -536,39 +546,69 @@ def scan_representatives(
     """Probe every representative (optionally every dirac translate of it).
 
     Partitions the representatives into those with an exhibited coset member
-    of weight at most ``limit`` and those where the budget found none.  Each
-    representative is one probe batch, seeded by ``_item_seed``: its 2^m
-    dirac translates share the seed and one matrix walk.
+    of weight at most ``limit`` and those where the budget found none.  All
+    functions of the scan ride one matrix walk seeded by ``seed``.  They are
+    cut into near-equal chunks of at most ``_CHUNK_BITS`` packed bits, and
+    into at least ``jobs`` chunks while there are that many functions; each
+    chunk is probed by ``probe_batch`` under a fresh ``Random(seed)``.  A
+    function's result depends only on the walk up to its first hit, so every
+    entry equals ``nl_probe`` on it alone under ``Random(seed)``, whatever
+    the chunking or the number of jobs.
     """
     m = reps.space.m
     if seed is None:
         seed = (rng or Random(0)).getrandbits(32)
-    shifts = list(range(1 << m)) if dirac_translates else [None]
-    items = []
-    for idx, fn in enumerate(reps.rep_functions()):
-        tt = fn.lift().tt
-        items.append((idx, [tt if a is None else tt ^ (1 << a) for a in shifts]))
-    if jobs > 1:
+    walk = _ScanWalk(
+        k,
+        m,
+        [fn.lift().tt for fn in reps.rep_functions()],
+        tuple(range(1 << m)) if dirac_translates else (None,),
+        iter_budget,
+        limit,
+        seed,
+    )
+    n = len(walk)
+    pieces = max(-(-n // max(1, _CHUNK_BITS // _block_bits(m))), min(jobs, n))
+    chunks = [range(i * n // pieces, (i + 1) * n // pieces) for i in range(pieces)]
+    if jobs > 1 and len(chunks) > 1:
         from .parallel import probe_batch_parallel
 
-        results = probe_batch_parallel(k, m, items, iter_budget, limit, seed, jobs)
+        results = probe_batch_parallel(walk, chunks, jobs)
     else:
-        results = [_probe_item(k, m, item, iter_budget, limit, seed) for item in items]
-    entries = [
-        ScanEntry(idx, shift, res)
-        for (idx, _), batch in zip(items, results)
-        for shift, res in zip(shifts, batch)
-    ]
+        results = map(walk.probe, chunks)
+    flat = (r for batch in results for r in batch)
+    entries = [ScanEntry(*walk.origin(j), r) for j, r in enumerate(flat)]
     return ScanReport(k, limit, entries)
 
 
-def _item_seed(seed: int, idx: int) -> int:
-    return seed * 1000003 + idx * 65537
+@dataclass(frozen=True)
+class _ScanWalk:
+    """The seeded probe walk of a scan over its flat function list.
 
+    Representative i's translates occupy indices i*len(shifts) up to
+    (i+1)*len(shifts).  A chunk is a range of indices whose truth tables are
+    built only when it is probed, so a full dirac scan never holds them all.
+    """
 
-def _probe_item(k, m, item, iter_budget, limit, seed) -> list[ProbeResult]:
-    """One scan item: the batch of a representative, under its own seed."""
-    idx, tts = item
-    item_seed = _item_seed(seed, idx)
-    batch = probe_batch(k, m, tts, iter_budget, limit, Random(item_seed))
-    return [replace(r, seed=item_seed) for r in batch]
+    k: int
+    m: int
+    lifts: list[int]
+    shifts: tuple[Optional[int], ...]
+    iter_budget: int
+    limit: int
+    seed: int
+
+    def __len__(self) -> int:
+        return len(self.lifts) * len(self.shifts)
+
+    def origin(self, j: int) -> tuple[int, Optional[int]]:
+        idx, s = divmod(j, len(self.shifts))
+        return idx, self.shifts[s]
+
+    def probe(self, chunk: range) -> list[ProbeResult]:
+        tts = []
+        for j in chunk:
+            idx, shift = self.origin(j)
+            tts.append(self.lifts[idx] if shift is None else self.lifts[idx] ^ (1 << shift))
+        batch = probe_batch(self.k, self.m, tts, self.iter_budget, self.limit, Random(self.seed))
+        return [replace(r, seed=self.seed) for r in batch]

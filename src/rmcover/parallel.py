@@ -1,8 +1,9 @@
 """Process-pool helpers for the embarrassingly parallel inner loops.
 
-Tasks are small picklable payloads.  Shared read-only state (the lower-window
-classification with its lookup, the probe parameters) reaches each worker
-once, through the pool initializer.
+Tasks are small picklable payloads: bucket keys, or index ranges of a probe
+scan.  Shared read-only state (the lower-window classification with its
+lookup; the scan's lifts and probe parameters) reaches each worker once,
+through the pool initializer.
 """
 
 from __future__ import annotations
@@ -46,21 +47,21 @@ def resolve_buckets_parallel(space_params, sub, tasks, budget_iter, seed, jobs, 
         return list(pool.map(_bucket_worker, tasks))
 
 
-def _probe_init(k, m, iter_budget, limit, seed):
-    _PROBE_STATE.update(k=k, m=m, iter_budget=iter_budget, limit=limit, seed=seed)
+def _probe_init(walk):
+    _PROBE_STATE["walk"] = walk
 
 
-def _probe_worker(item):
-    from .nonlinearity import _probe_item
-
-    return _probe_item(item=item, **_PROBE_STATE)
+def _probe_worker(chunk):
+    return _PROBE_STATE["walk"].probe(chunk)
 
 
-def probe_batch_parallel(k, m, items, iter_budget, limit, seed, jobs):
-    """Probe scan items, one batch per representative, across a pool."""
+def probe_batch_parallel(walk, chunks, jobs):
+    """Probe the chunks of a scan's walk across a pool, in order.
+
+    A chunk is a range of indices into the walk's function list; workers
+    build its truth tables themselves, so only the lifts are pickled.
+    """
     with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_probe_init,
-        initargs=(k, m, iter_budget, limit, seed),
+        max_workers=jobs, initializer=_probe_init, initargs=(walk,)
     ) as pool:
-        return list(pool.map(_probe_worker, items, chunksize=max(1, len(items) // (4 * jobs))))
+        return list(pool.map(_probe_worker, chunks))

@@ -1,4 +1,5 @@
 import sys
+from random import Random
 
 import pytest
 
@@ -92,6 +93,58 @@ class TestCli:
         assert code == 0
         assert "fn 0 found true best 6" in out
         assert "# seed 3" in out
+
+    def test_nl_probe_shares_one_walk(self, tmp_path, capsys):
+        from rmcover import nl_probe, parse_function
+
+        fns = tmp_path / "fns.txt"
+        fns.write_text("ab+cd\nabc\nab+cd+a\nabcd\n")
+        code, out, _ = run(
+            [
+                "nl", "probe",
+                "--k", "1", "--m", "4",
+                "--limit", "5", "--iter", "64", "--seed", "3",
+                "--in", str(fns),
+            ],
+            capsys,
+        )
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("fn ")]
+        assert len(lines) == 4
+        for i, (line, text) in enumerate(zip(lines, fns.read_text().split())):
+            r = nl_probe(1, 4, parse_function(text, 4), 64, 5, Random(3))
+            assert line == (
+                f"fn {i} found {str(r.found).lower()} best {r.best_weight} "
+                f"passes {r.passes_used} seed 3"
+            )
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_bad_jobs_flag_exits_2(self, tmp_path, capsys, jobs):
+        reps = tmp_path / "reps.cls"
+        run(["oracle", "--s", "2", "--t", "3", "--m", "4", "--out", str(reps)], capsys)
+        for argv in (
+            ["nl", "scan", "--k", "1", "--limit", "2", "--reps", str(reps)],
+            ["classify", "run", "--s", "3", "--t", "3", "--m", "4", "--sub", str(reps),
+             "--out", str(tmp_path / "x.cls")],
+        ):
+            code, out, err = run(argv + ["--jobs", jobs], capsys)
+            assert code == 2 and out == ""
+            assert "--jobs" in err and "positive integer" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reps.cls"]
+
+    def test_bad_jobs_environment_exits_2(self, tmp_path, capsys, monkeypatch):
+        reps = tmp_path / "reps.cls"
+        run(["oracle", "--s", "2", "--t", "3", "--m", "4", "--out", str(reps)], capsys)
+        monkeypatch.setenv("RMCOVER_JOBS", "two")
+        code, out, _ = run(["--version"], capsys)
+        assert code == 0 and out.strip()
+        scan = ["nl", "scan", "--k", "1", "--limit", "2", "--reps", str(reps)]
+        code, out, err = run(scan, capsys)
+        assert code == 2 and out == ""
+        assert "RMCOVER_JOBS" in err and "'two'" in err
+        # a valid flag overrides the bad environment value
+        code, out, _ = run(scan + ["--jobs", "1"], capsys)
+        assert code == 0 and "rep 0" in out
 
     def test_nl_scan(self, tmp_path, capsys):
         reps = tmp_path / "reps.cls"

@@ -25,6 +25,7 @@ from rmcover import (
     walsh_spectrum,
     weight,
 )
+from rmcover import nonlinearity, parallel
 from rmcover.boolfun import apply_affine, degree
 from rmcover.group import gf2_rank
 
@@ -322,20 +323,52 @@ class TestScan:
         shifts = {e.shift for e in report.entries}
         assert shifts == set(range(8))
 
-    def test_dirac_entries_equal_serial_probes(self, oracle234):
-        report = scan_representatives(1, oracle234, 3, 16, seed=5, dirac_translates=True)
-        # one seed per representative, shared by its translates
-        assert len({(e.index, e.result.seed) for e in report.entries}) == oracle234.n_classes
+    @staticmethod
+    def _assert_entries_equal_alone(report, reps, k, m, iters, limit, seed):
+        # every entry is nl_probe on its function alone under the scan's seed
         for e in report.entries:
-            tt = oracle234.rep_function(e.index).lift().tt ^ (1 << e.shift)
-            alone = nl_probe(1, 4, BooleanFunction(4, tt), 16, 3, random.Random(e.result.seed))
+            assert e.result.seed == seed
+            tt = reps.rep_function(e.index).lift().tt
+            if e.shift is not None:
+                tt ^= 1 << e.shift
+            alone = nl_probe(k, m, BooleanFunction(m, tt), iters, limit, random.Random(seed))
             assert alone == replace(e.result, seed=None)
 
+    def test_dirac_entries_equal_serial_probes(self, oracle234):
+        # one seed for the whole scan, plain or dirac: all functions ride one walk
+        for dirac_translates in (False, True):
+            report = scan_representatives(
+                2, oracle234, 2, 16, seed=5, dirac_translates=dirac_translates
+            )
+            self._assert_entries_equal_alone(report, oracle234, 2, 4, 16, 2, 5)
+
+    @pytest.mark.parametrize("dirac_translates", [False, True])
+    def test_entries_do_not_depend_on_chunking(self, oracle234, monkeypatch, dirac_translates):
+        kw = dict(seed=6, dirac_translates=dirac_translates)
+        whole = scan_representatives(2, oracle234, 2, 16, **kw)
+        monkeypatch.setattr(nonlinearity, "_CHUNK_BITS", 1)  # one function per chunk
+        single = scan_representatives(2, oracle234, 2, 16, **kw)
+        assert whole.entries == single.entries
+        self._assert_entries_equal_alone(single, oracle234, 2, 4, 16, 2, 6)
+
     def test_jobs_agree_with_serial(self, oracle234):
+        # each scan fits one chunk, which --jobs 2 must split across the pool
         for dirac_translates in (False, True):
             kw = dict(seed=4, dirac_translates=dirac_translates)
-            serial = scan_representatives(1, oracle234, 2, 32, **kw)
-            parallel = scan_representatives(1, oracle234, 2, 32, jobs=2, **kw)
+            serial = scan_representatives(2, oracle234, 2, 32, **kw)
+            pooled = scan_representatives(2, oracle234, 2, 32, jobs=2, **kw)
             assert [(e.index, e.shift, e.result) for e in serial.entries] == [
-                (e.index, e.shift, e.result) for e in parallel.entries
+                (e.index, e.shift, e.result) for e in pooled.entries
             ]
+
+    @pytest.mark.parametrize("jobs, bounds", [(2, [0, 2, 5]), (4, [0, 1, 2, 3, 5]), (9, range(6))])
+    def test_jobs_split_the_chunk(self, oracle234, monkeypatch, jobs, bounds):
+        # the 5 functions fit one chunk: the pool gets min(jobs, 5) near-equal pieces
+        calls = []
+        monkeypatch.setattr(
+            parallel, "probe_batch_parallel",
+            lambda walk, chunks, jobs: calls.append(chunks) or [walk.probe(c) for c in chunks],
+        )
+        report = scan_representatives(2, oracle234, 2, 32, seed=4, jobs=jobs)
+        assert calls == [[range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]]
+        self._assert_entries_equal_alone(report, oracle234, 2, 4, 32, 2, 4)
