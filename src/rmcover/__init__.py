@@ -20,6 +20,7 @@ from .boolfun import (
     tt_from_hex,
     tt_to_hex,
     weight,
+    wht,
 )
 from .classify import (
     Classification,
@@ -62,7 +63,6 @@ from .invariant import (
     fourier_map,
     j_hat_signature,
     j_signature,
-    wht,
 )
 from .nonlinearity import (
     Bound,

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .group import AffineTransformation
 
 MAX_VARS = 16
@@ -50,6 +52,28 @@ def mobius_transform(bits: int, m: int) -> int:
     for i in range(m):
         bits ^= (bits & _low_bit_mask(i, m)) << (1 << i)
     return bits
+
+
+def wht(values) -> np.ndarray:
+    """Integer Walsh-Hadamard transform along axis 0, without normalization.
+
+    Returns a new array of the input's integer type (int64 for a list); each
+    column of a 2-D input is transformed on its own.  Every butterfly
+    updates a reshaped view of the copy in place: (a, b) -> (a + b, a - b).
+    """
+    w = np.array(values, order="C")
+    n = len(w)
+    if n == 0 or n & (n - 1):
+        raise ValueError("length must be a power of two")
+    h = 1
+    while h < n:
+        view = w.reshape(n // (2 * h), 2, h, -1)
+        a, b = view[:, 0], view[:, 1]
+        a += b
+        b *= -2
+        b += a
+        h *= 2
+    return w
 
 
 def translate_truth_table(tt: int, v: int, m: int) -> int:

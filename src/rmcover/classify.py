@@ -27,6 +27,8 @@ from .group import (
     agl_generators,
     agl_order,
     compose,
+    gf2_echelon,
+    gf2_reduce,
     identity,
     invert,
 )
@@ -350,29 +352,6 @@ def initial_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
     return CoverSet(s, t, m, size, _ProductEntries(sub.n_classes, 1 << h_space.dim))
 
 
-def _echelon_basis(vectors: Iterable[int]) -> list[int]:
-    """Fully reduced echelon basis of the span of vectors over GF(2).
-
-    The top bit of each basis vector is its pivot, and no other basis vector
-    has that bit set; so reducing a key by the basis clears every pivot bit
-    and gives the smallest key of its coset.
-    """
-    basis: list[int] = []
-    for v in vectors:
-        v = _reduce(v, basis)
-        if v:
-            top = 1 << (v.bit_length() - 1)
-            basis = [b ^ v if b & top else b for b in basis]
-            basis.append(v)
-    return basis
-
-
-def _reduce(key: int, basis: Sequence[int]) -> int:
-    for b in basis:
-        key = min(key, key ^ b)
-    return key
-
-
 def reduce_cover_set(
     s: int,
     t: int,
@@ -407,7 +386,7 @@ def reduce_cover_set(
         if stab is None:
             raise ValueError(f"missing stabilizer generators for class {g_idx}")
         g_fn = sub.rep_function(g_idx)
-        basis = _echelon_basis(
+        basis = gf2_echelon(
             multiply_affine_form(1 << alpha_mask, g_fn, s, t).key
             for alpha_mask in [0] + [1 << i for i in range(m - 1)]
         )
@@ -422,7 +401,7 @@ def reduce_cover_set(
         tables = []
         for u in stab:
             images = action_matrix(h_space, u)
-            if any(_reduce(apply_key(images, b), basis) for b in basis):
+            if any(gf2_reduce(apply_key(images, b), basis) for b in basis):
                 raise ValueError(
                     f"stabilizer generator of class {g_idx} does not preserve "
                     "the span of the alpha*g translations"
@@ -434,7 +413,7 @@ def reduce_cover_set(
                 )
             tables.append(
                 _byte_tables(
-                    [compress(_reduce(images[q], basis)) for q in free], len(free)
+                    [compress(gf2_reduce(images[q], basis)) for q in free], len(free)
                 )
             )
 
@@ -573,7 +552,7 @@ def classify_pipeline(
     from .invariant import class_map, j_hat_signature
 
     space = quotient_space(s, t, m)
-    initial_size = sub.n_classes * (1 << quotient_space(s, t, m - 1).dim)
+    initial_size = initial_cover_set(s, t, m, sub).size
     cover = reduce_cover_set(s, t, m, sub, inner_guard=inner_guard)
 
     buckets: dict = {}
@@ -748,12 +727,20 @@ def load_classification(path: str) -> Classification:
                     _, idx, size, anf = line.split(None, 3)
                     if int(idx) != len(reps):
                         raise ValueError("class indices out of order")
-                    key = space.key_from_anf(bf.anf_from_string(anf, m).coeffs)
-                    reps.append(key)
+                    coeffs = bf.anf_from_string(anf, m).coeffs
+                    if coeffs & ~space.support:
+                        raise ValueError("monomials outside the space window")
+                    reps.append(space.key_from_anf(coeffs))
                     sizes.append(None if size == "-" else int(size))
                 elif line.startswith("S "):
-                    _, idx, enc = line.split(None, 2)
-                    bucket = stab.setdefault(int(idx), [])
+                    _, idx_text, enc = line.split(None, 2)
+                    idx = int(idx_text)
+                    if not 0 <= idx < len(reps):
+                        raise ValueError(
+                            f"stabilizer for class {idx}, not among the "
+                            f"{len(reps)} classes read before it"
+                        )
+                    bucket = stab.setdefault(idx, [])
                     if enc != "-":
                         bucket.append(_decode_affine(enc, m))
                 else:

@@ -21,8 +21,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .group import AffineTransformation, SingularMatrixError, compose, invert_rows
-from .invariant import class_map, fourier_map, j_hat_signature
+from .boolfun import wht
+from .group import (
+    AffineTransformation,
+    SingularMatrixError,
+    compose,
+    invert_rows,
+    matvec,
+    random_affine,
+)
+from .invariant import class_map, j_hat_signature
 from .quotient import QuotientFunction, delta_membership, q_apply_affine
 
 EQUIV = "Equiv"
@@ -176,15 +184,16 @@ def equivalent(
 
     sub.ensure_classifiable()
     cm_fp = class_map(fp, sub)
-    if j_hat_signature(class_map(f, sub)) != j_hat_signature(cm_fp):
+    cm_f = class_map(f, sub)
+    if j_hat_signature(cm_f) != j_hat_signature(cm_fp):
         return EquivalenceOutcome(NOT_EQUIV, None, 0, 0)
-
-    from .group import random_affine
 
     sr = random_affine(m, rng)
     fr = q_apply_affine(f, sr)
-    fh_f = np.array(fourier_map(class_map(fr, sub)))
-    fh_fp = np.array(fourier_map(cm_fp))
+    # the derivative of f o sr along v is the derivative of f along A v,
+    # composed with sr, so the class map of fr is read off that of f
+    fh_f = wht([cm_f.values[matvec(sr.rows, v)] for v in range(n)])
+    fh_fp = wht(cm_fp.values)
 
     # Candidate images are tried in a per-level shuffled order.  When the
     # transform values barely constrain the search (near-flat spectra), a

@@ -51,16 +51,36 @@ def transpose_rows(rows: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def gf2_echelon(vectors: Iterable[int]) -> list[int]:
+    """Echelon basis of the span of vectors over GF(2), highest pivot first.
+
+    The top bit of each basis vector is its pivot, and no later vector has
+    that bit set.  Vectors are taken greedily: each one that is independent
+    of those before it adds one basis vector.
+    """
+    basis: list[int] = []
+    for v in vectors:
+        v = gf2_reduce(v, basis)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
+
+
+def gf2_reduce(key: int, basis: Sequence[int]) -> int:
+    """The smallest element of key + span(basis), for an echelon basis.
+
+    Clearing each pivot bit in turn, highest first, leaves the unique coset
+    element with no pivot bit set, which is the smallest one.
+    """
+    for b in basis:
+        key = min(key, key ^ b)
+    return key
+
+
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) by elimination on int bitsets."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
+    return len(gf2_echelon(rows))
 
 
 def invert_rows(rows: Sequence[int], m: int) -> tuple[int, ...]:

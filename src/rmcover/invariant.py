@@ -11,28 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import boolfun as bf
 from .quotient import QuotientFunction, quotient_space
-
-
-def wht(values: Sequence[int]) -> list[int]:
-    """In-place-style integer Walsh-Hadamard transform (no normalization)."""
-    n = len(values)
-    if n & (n - 1):
-        raise ValueError("length must be a power of two")
-    out = list(values)
-    h = 1
-    while h < n:
-        for i in range(0, n, h * 2):
-            for j in range(i, i + h):
-                x = out[j]
-                y = out[j + h]
-                out[j] = x + y
-                out[j + h] = x - y
-        h *= 2
-    return out
 
 
 @dataclass(frozen=True)
@@ -53,7 +34,7 @@ class InvariantSignature:
     classification_digest: str
 
 
-def class_map(f: QuotientFunction, sub, *, iter_budget: int = 4096, rng=None) -> ClassMap:
+def class_map(f: QuotientFunction, sub) -> ClassMap:
     """Map each direction to the class of the restricted derivative.
 
     ``sub`` must classify the (s-1, t-1, m-1) window.  The zero direction maps
@@ -69,7 +50,7 @@ def class_map(f: QuotientFunction, sub, *, iter_budget: int = 4096, rng=None) ->
     sub_space = quotient_space(*expect)
     lift = f.lift()
     values = [0] * (1 << f.m)
-    zero_cls = class_of(sub_space.zero(), sub, iter_budget=iter_budget, rng=rng)
+    zero_cls = class_of(sub_space.zero(), sub)
     values[0] = zero_cls
     for v in range(1, 1 << f.m):
         der = bf.derivative(lift, v)
@@ -78,7 +59,7 @@ def class_map(f: QuotientFunction, sub, *, iter_budget: int = 4096, rng=None) ->
             continue
         restricted = bf.restrict(der, v)
         key = sub_space.key_from_anf(bf.mobius_transform(restricted.tt, restricted.m))
-        values[v] = class_of(sub_space.function(key), sub, iter_budget=iter_budget, rng=rng)
+        values[v] = class_of(sub_space.function(key), sub)
     return ClassMap(f.m, tuple(values), sub.digest)
 
 
@@ -90,7 +71,7 @@ def j_signature(cm: ClassMap) -> InvariantSignature:
 
 def fourier_map(cm: ClassMap) -> tuple[int, ...]:
     """Integer Walsh-Hadamard transform of the class map."""
-    return tuple(wht(cm.values))
+    return tuple(bf.wht(cm.values).tolist())
 
 
 def j_hat_signature(cm: ClassMap) -> InvariantSignature:

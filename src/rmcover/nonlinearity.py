@@ -72,15 +72,7 @@ def walsh_spectrum(f: BooleanFunction) -> np.ndarray:
     n = 1 << f.m
     raw = np.frombuffer(f.tt.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     arr = np.unpackbits(raw, bitorder="little", count=n).astype(np.int32)
-    w = 1 - 2 * arr
-    h = 1
-    while h < n:
-        w = w.reshape(-1, 2, h)
-        top = w[:, 0, :] + w[:, 1, :]
-        bot = w[:, 0, :] - w[:, 1, :]
-        w = np.stack([top, bot], axis=1).reshape(-1)
-        h *= 2
-    return w
+    return bf.wht(1 - 2 * arr)
 
 
 def _first_order_nl(f: BooleanFunction) -> int:
@@ -247,11 +239,17 @@ def exact_nonlinearity(
         raise InfeasibleError(
             f"RM({k},{m}) has 2^{dim} codewords, enumeration guard allows {enum_guard}"
         )
-    rows = rm_generator_matrix(k, m).rows
-    best = f.tt.bit_count()
+    return _coset_leader_weight(f.tt, rm_generator_matrix(k, m).rows)
+
+
+def _coset_leader_weight(tt: int, rows: Sequence[int]) -> int:
+    """Smallest weight of tt + c over the codewords c spanned by rows.
+
+    The codewords are walked in Gray-code order, one row XOR per step.
+    """
+    best = tt.bit_count()
     c = 0
-    tt = f.tt
-    for i in range(1, 1 << dim):
+    for i in range(1, 1 << len(rows)):
         c ^= rows[(i & -i).bit_length() - 1]
         w = (tt ^ c).bit_count()
         if w < best:
@@ -297,16 +295,7 @@ def covering_radius_exact(
     for i in range(n_cosets):
         if i:
             anf ^= 1 << free_masks[(i & -i).bit_length() - 1]
-        tt = bf.mobius_transform(anf, m)
-        best = tt.bit_count()
-        c = 0
-        for j in range(1, 1 << dim):
-            c ^= rows[(j & -j).bit_length() - 1]
-            w = (tt ^ c).bit_count()
-            if w < best:
-                best = w
-        if best > radius:
-            radius = best
+        radius = max(radius, _coset_leader_weight(bf.mobius_transform(anf, m), rows))
     return radius
 
 
@@ -329,15 +318,7 @@ def _radius_first_order_batched(m: int, free_masks: list[int]) -> int:
             h = 1 << i
             for base in range(0, n, 2 * h):
                 anf[base + h : base + 2 * h] ^= anf[base : base + h]
-        w = (1 - 2 * anf).astype(dtype)
-        h = 1
-        while h < n:
-            for base in range(0, n, 2 * h):
-                top = w[base : base + h] + w[base + h : base + 2 * h]
-                bot = w[base : base + h] - w[base + h : base + 2 * h]
-                w[base : base + h] = top
-                w[base + h : base + 2 * h] = bot
-            h *= 2
+        w = bf.wht(1 - 2 * anf)
         nl = (n // 2) - np.max(np.abs(w), axis=0).astype(np.int64) // 2
         m_nl = int(nl.max())
         if m_nl > radius:
@@ -537,10 +518,9 @@ def scan_representatives(
     reps,
     limit: int,
     iter_budget: int,
-    rng: Optional[Random] = None,
     *,
+    seed: int,
     dirac_translates: bool = False,
-    seed: Optional[int] = None,
     jobs: int = 1,
 ) -> ScanReport:
     """Probe every representative (optionally every dirac translate of it).
@@ -556,8 +536,6 @@ def scan_representatives(
     the chunking or the number of jobs.
     """
     m = reps.space.m
-    if seed is None:
-        seed = (rng or Random(0)).getrandbits(32)
     walk = _ScanWalk(
         k,
         m,

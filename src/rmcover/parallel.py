@@ -1,58 +1,43 @@
 """Process-pool helpers for the embarrassingly parallel inner loops.
 
 Tasks are small picklable payloads: bucket keys, or index ranges of a probe
-scan.  Shared read-only state (the lower-window classification with its
-lookup; the scan's lifts and probe parameters) reaches each worker once,
-through the pool initializer.
+scan.  The function applied to them carries the shared read-only state (the
+lower-window classification with its lookup; the scan's lifts and probe
+parameters) and reaches each worker once, through the pool initializer.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
-_BUCKET_STATE: dict = {}
-_PROBE_STATE: dict = {}
-
-
-def _bucket_init(space_params, sub, budget_iter, seed, retries):
-    from .quotient import quotient_space
-
-    _BUCKET_STATE["space"] = quotient_space(*space_params)
-    _BUCKET_STATE["sub"] = sub
-    _BUCKET_STATE["budget"] = budget_iter
-    _BUCKET_STATE["seed"] = seed
-    _BUCKET_STATE["retries"] = retries
+_WORKER_STATE: dict = {}
 
 
-def _bucket_worker(keys):
-    from .classify import _resolve_bucket
+def _init(fn):
+    _WORKER_STATE["fn"] = fn
 
-    return _resolve_bucket(
-        _BUCKET_STATE["space"],
-        _BUCKET_STATE["sub"],
-        keys,
-        _BUCKET_STATE["budget"],
-        _BUCKET_STATE["seed"],
-        _BUCKET_STATE["retries"],
-    )
+
+def _work(task):
+    return _WORKER_STATE["fn"](task)
+
+
+def _pool_map(fn, tasks, jobs):
+    """fn over the tasks across a pool of jobs workers, results in task order."""
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init, initargs=(fn,)) as pool:
+        return list(pool.map(_work, tasks))
 
 
 def resolve_buckets_parallel(space_params, sub, tasks, budget_iter, seed, jobs, retries):
     """Merge invariant buckets across a pool; sub must already be classifiable."""
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_bucket_init,
-        initargs=(tuple(space_params), sub, budget_iter, seed, retries),
-    ) as pool:
-        return list(pool.map(_bucket_worker, tasks))
+    from .classify import _resolve_bucket
+    from .quotient import quotient_space
 
-
-def _probe_init(walk):
-    _PROBE_STATE["walk"] = walk
-
-
-def _probe_worker(chunk):
-    return _PROBE_STATE["walk"].probe(chunk)
+    fn = partial(
+        _resolve_bucket, quotient_space(*space_params), sub,
+        budget_iter=budget_iter, seed=seed, retries=retries,
+    )
+    return _pool_map(fn, tasks, jobs)
 
 
 def probe_batch_parallel(walk, chunks, jobs):
@@ -61,7 +46,4 @@ def probe_batch_parallel(walk, chunks, jobs):
     A chunk is a range of indices into the walk's function list; workers
     build its truth tables themselves, so only the lifts are pickled.
     """
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_probe_init, initargs=(walk,)
-    ) as pool:
-        return list(pool.map(_probe_worker, chunks))
+    return _pool_map(walk.probe, chunks, jobs)

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import boolfun as bf
 from .boolfun import AnfPolynomial, BooleanFunction
-from .group import AffineTransformation
+from .group import AffineTransformation, gf2_echelon, gf2_reduce
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +234,9 @@ def delta_membership(qf_base: QuotientFunction, candidate: QuotientFunction) -> 
     """A direction a with derivative(qf_base, a) equal to candidate, or None.
 
     The candidate may carry a degree-t component (it is then rejected) or
-    live directly in the derivative window (t-1, t-1, m).
+    live directly in the derivative window (t-1, t-1, m).  When several
+    directions work, the one returned is supported on the unit directions
+    whose derivatives are independent of those of the lower unit directions.
     """
     if qf_base.s != qf_base.t - 1:
         raise ValueError("delta membership requires a window with s = t-1")
@@ -253,26 +255,14 @@ def delta_membership(qf_base: QuotientFunction, candidate: QuotientFunction) -> 
     else:
         raise ValueError("candidate parameters are incompatible")
 
-    basis = [b.key for b in delta_space_basis(qf_base)]
-    # Echelon reduction over GF(2), tracking which directions were combined.
-    ech: list[tuple[int, int]] = []
-    for j, vec in enumerate(basis):
-        combo = 1 << j
-        for evec, ecombo in ech:
-            if vec ^ evec < vec:
-                vec ^= evec
-                combo ^= ecombo
-        if vec:
-            ech.append((vec, combo))
-            ech.sort(reverse=True)
-    combo = 0
-    for evec, ecombo in ech:
-        if target ^ evec < target:
-            target ^= evec
-            combo ^= ecombo
-    if target:
-        return None
-    return combo
+    # Eliminate key_j * 2^m + e_j, so the low m bits track the directions
+    # combined; reducing target * 2^m clears the key bits of a member and
+    # leaves its direction in the low bits.
+    basis = gf2_echelon(
+        (b.key << m) | (1 << j) for j, b in enumerate(delta_space_basis(qf_base))
+    )
+    reduced = gf2_reduce(target << m, basis)
+    return None if reduced >> m else reduced
 
 
 def action_matrix(space: QuotientSpace, s: AffineTransformation) -> list[int]:

@@ -309,7 +309,7 @@ class TestCoverSets:
             )
 
     def test_coset_reduction_gives_coset_minimum(self):
-        from rmcover.classify import _echelon_basis, _reduce
+        from rmcover.group import gf2_echelon, gf2_rank, gf2_reduce
 
         rng = random.Random(5)
         for _ in range(50):
@@ -317,10 +317,11 @@ class TestCoverSets:
             span = {0}
             for v in vecs:
                 span |= {x ^ v for x in span}
-            basis = _echelon_basis(vecs)
+            basis = gf2_echelon(vecs)
             assert 1 << len(basis) == len(span)
+            assert 1 << gf2_rank(vecs) == len(span)
             for x in range(256):
-                assert _reduce(x, basis) == min(x ^ y for y in span)
+                assert gf2_reduce(x, basis) == min(x ^ y for y in span)
 
     def test_stabilizer_must_preserve_translations(self, sub123):
         # for g = a the translations span {ab, ac}; swapping x1 and x2 sends
@@ -488,6 +489,21 @@ class TestFiles:
         path = tmp_path / "bad.cls"
         path.write_text("#%space 2 2 3\nR 0 1 0\nQ nonsense\n")
         with pytest.raises(ValueError, match="bad.cls:3"):
+            load_classification(str(path))
+
+    @pytest.mark.parametrize("line", ["S 99 -", "S -1 -"])
+    def test_stabilizer_of_unknown_class_refused(self, oracle223, tmp_path, line):
+        path = tmp_path / "c.cls"
+        save_classification(oracle223, str(path))
+        text = path.read_text() + line + "\n"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"c.cls:{len(text.splitlines())}:"):
+            load_classification(str(path))
+
+    def test_representative_outside_window_refused(self, tmp_path):
+        path = tmp_path / "c.cls"
+        path.write_text("#%space 1 2 3\nR 0 1 0\nR 1 7 abc+a\n")
+        with pytest.raises(ValueError, match="c.cls:3:"):
             load_classification(str(path))
 
     def test_ensure_lookup_refuses_foreign_numbering(self, oracle223, tmp_path):

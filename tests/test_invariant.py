@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rmcover import (
@@ -32,7 +33,17 @@ class TestWht:
         rng = random.Random(0)
         vals = [rng.randrange(50) for _ in range(16)]
         twice = wht(wht(vals))
-        assert twice == [16 * v for v in vals]
+        assert twice.tolist() == [16 * v for v in vals]
+
+    def test_int8_batch_equals_columns(self):
+        rng = random.Random(3)
+        batch = np.array(
+            [[rng.choice((-1, 1)) for _ in range(40)] for _ in range(32)], dtype=np.int8
+        )
+        out = wht(batch)
+        assert out.dtype == np.int8
+        for j in range(batch.shape[1]):
+            assert out[:, j].tolist() == wht(batch[:, j].tolist()).tolist()
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,16 @@ class TestExactNonlinearity:
             w = walsh_spectrum(f)
             assert int((w.astype(object) ** 2).sum()) == 1 << (2 * m)
 
+    def test_walsh_spectrum_definition(self):
+        rng = random.Random(4)
+        for m in (1, 2, 3, 4):
+            f = BooleanFunction(m, rng.getrandbits(1 << m))
+            want = [
+                sum((-1) ** (f.value(x) + (b & x).bit_count()) for x in range(1 << m))
+                for b in range(1 << m)
+            ]
+            assert walsh_spectrum(f).tolist() == want
+
 
 class TestProbe:
     def test_codeword_found_immediately(self):

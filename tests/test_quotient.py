@@ -200,6 +200,30 @@ class TestDelta:
         f = qf("abc", 2, 3, 4)
         assert delta_membership(f, quotient_space(2, 2, 4).zero()) == 0
 
+    def test_membership_with_kernel_matches_reference(self):
+        # no cubic monomial holds the last variable, so the derivative along
+        # it vanishes and several directions solve each member
+        rng = random.Random(12)
+        for m in (4, 5):
+            space = quotient_space(2, 3, m)
+            target = quotient_space(2, 2, m)
+            allowed = [
+                j for j, mask in enumerate(space.masks)
+                if mask.bit_count() == 2 or not mask >> (m - 1)
+            ]
+            for _ in range(6):
+                f = space.function(sum(1 << j for j in allowed if rng.random() < 0.4))
+                keys = [b.key for b in delta_space_basis(f)]
+                assert keys[-1] == 0
+                # greedily independent unit directions and the span they reach
+                span = {0: 0}
+                for j, k in enumerate(keys):
+                    if k not in span:
+                        span.update({x ^ k: d | (1 << j) for x, d in span.items()})
+                for tkey in range(1 << target.dim):
+                    want = span.get(tkey)
+                    assert delta_membership(f, target.function(tkey)) == want
+
     def test_membership_rejects_outside(self):
         # degree-t component present: immediate rejection
         f = qf("abc", 2, 3, 4)
