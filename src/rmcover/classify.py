@@ -15,12 +15,14 @@ import hashlib
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import boolfun as bf
+from .equivalence import DEFAULT_ITER_BUDGET, EQUIV, UNDEFINED, equivalent
 from .group import (
     AffineTransformation,
     _StabilizerChain,
@@ -32,6 +34,7 @@ from .group import (
     identity,
     invert,
 )
+from .invariant import class_map, j_hat_signature
 from .quotient import (
     QuotientFunction,
     QuotientSpace,
@@ -82,7 +85,8 @@ class Classification:
     # classification of the next window down, used by class_of when this
     # window is too large for a complete lookup; never serialized
     fallback_sub: Optional["Classification"] = field(default=None, repr=False)
-    _rep_jhat: Optional[list] = field(default=None, repr=False)
+    # (digest of the lower window, Jhat signature of every representative)
+    _rep_jhat: Optional[tuple[str, list]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.digest:
@@ -184,7 +188,9 @@ def _walk_orbit(
 ) -> int:
     """Write value over the orbit of start, found by a frontier BFS; return its size.
 
-    The orbit must be unlabeled (negative) when the walk begins.
+    The orbit must be unlabeled (negative) when the walk begins.  Each table
+    is a bijection and its fresh images are labeled before the next table
+    runs, so the frontier never holds a key twice.
     """
     labels[start] = value
     frontier = np.array([start], dtype=np.int64)
@@ -195,7 +201,6 @@ def _walk_orbit(
             img = _apply_tables(frontier, tab)
             fresh = img[labels[img] < 0]
             if fresh.size:
-                fresh = np.unique(fresh)
                 labels[fresh] = value
                 parts.append(fresh)
                 size += fresh.size
@@ -433,85 +438,101 @@ def reduce_cover_set(
 DEFAULT_BUDGET_RETRIES = 3
 
 _RESEED = 0x9E3779B9  # additive reseed step for fresh search randomization
+_CLASS_OF_SEED = 0xD82C07CD  # base seed of class_of's searches: Random(0).getrandbits(32)
 
 
-def _equivalent_with_retries(rep_fn, qf, sub, iter_budget, seed, retries):
-    """Equivalence with fresh pre-composition seeds while Undefined.
+def _pair_seed(seed: int, a: int, b: int) -> int:
+    mix = hashlib.sha256(f"{seed}|{a:x}|{b:x}".encode()).digest()
+    return int.from_bytes(mix[:8], "big")
 
-    Re-randomizing re-orders the candidate tree without changing the set of
-    candidates, so it can only turn Undefined into a decided verdict.
-    Returns (verdict, calls, undefined_count).
+
+def _match(fn, rep_keys, sub, iter_budget, seed, retries):
+    """The first representative in rep_keys equivalent to fn, by the search.
+
+    Each pair is searched under its own seed from _pair_seed; while the
+    verdict is Undefined the search is re-run with a fresh seed, up to
+    ``retries`` runs in all.  Re-randomizing re-orders the candidate tree
+    without changing the set of candidates, so it can only turn Undefined
+    into a decided verdict.  Returns (matching key or None, keys left
+    Undefined, calls, undefined outcomes).
     """
-    from .equivalence import UNDEFINED, equivalent
-
+    undecided: list[int] = []
     calls = 0
     undefined = 0
-    for attempt in range(max(1, retries)):
-        out = equivalent(
-            rep_fn, qf, sub, iter_budget=iter_budget,
-            rng=Random(seed + attempt * _RESEED),
-        )
-        calls += 1
-        if out.verdict != UNDEFINED:
-            return out.verdict, calls, undefined
-        undefined += 1
-    return UNDEFINED, calls, undefined
+    for rkey in rep_keys:
+        rep_fn = fn.space.function(rkey)
+        pair_seed = _pair_seed(seed, rkey, fn.key)
+        for attempt in range(max(1, retries)):
+            verdict = equivalent(
+                rep_fn, fn, sub, iter_budget=iter_budget,
+                rng=Random(pair_seed + attempt * _RESEED),
+            ).verdict
+            calls += 1
+            if verdict != UNDEFINED:
+                break
+            undefined += 1
+        if verdict == EQUIV:
+            return rkey, undecided, calls, undefined
+        if verdict == UNDEFINED:
+            undecided.append(rkey)
+    return None, undecided, calls, undefined
 
 
-def class_of(
-    qf: QuotientFunction,
-    classification: Classification,
-    *,
-    sub: Optional[Classification] = None,
-    iter_budget: int = 4096,
-    retries: int = DEFAULT_BUDGET_RETRIES,
-    rng: Optional[Random] = None,
-) -> int:
+def class_of(qf: QuotientFunction, classification: Classification) -> int:
     """Orbit index of qf in the given classification.
 
     Uses the complete lookup when present; otherwise buckets by the Walsh
-    distribution invariant and confirms with the equivalence search, which
-    needs the lower-window classification ``sub`` (or the attached fallback).
+    distribution invariant over the attached ``fallback_sub`` and confirms
+    with the equivalence search.
     """
     if qf.space.params != classification.space.params:
         raise ValueError("space mismatch")
     if classification.lookup is not None:
         return int(classification.lookup[qf.key])
 
-    from .equivalence import EQUIV, UNDEFINED
-    from .invariant import class_map, j_hat_signature
-
-    if sub is None:
-        sub = classification.fallback_sub
+    sub = classification.fallback_sub
     if sub is None:
         raise UndecidableError(
-            "classification has no lookup; provide the lower-window "
-            "classification for invariant bucketing"
+            "classification has no lookup and no fallback_sub for "
+            "invariant bucketing"
         )
-    base_seed = (rng or Random(0)).getrandbits(32)
+    cached = classification._rep_jhat
+    if cached is None or cached[0] != sub.digest:
+        cached = classification._rep_jhat = (
+            sub.digest,
+            [j_hat_signature(class_map(r, sub)) for r in classification.rep_functions()],
+        )
     sig = j_hat_signature(class_map(qf, sub))
-    if classification._rep_jhat is None:
-        classification._rep_jhat = [
-            j_hat_signature(class_map(r, sub)) for r in classification.rep_functions()
-        ]
-    candidates = [
-        i for i, rsig in enumerate(classification._rep_jhat) if rsig == sig
-    ]
-    undecided = []
-    for i in candidates:
-        verdict, _, _ = _equivalent_with_retries(
-            classification.rep_function(i), qf, sub, iter_budget,
-            _pair_seed(base_seed, classification.reps[i], qf.key), retries,
-        )
-        if verdict == EQUIV:
-            return i
-        if verdict == UNDEFINED:
-            undecided.append(i)
+    candidates = [k for k, rsig in zip(classification.reps, cached[1]) if rsig == sig]
+    match, undecided, _, _ = _match(
+        qf, candidates, sub, DEFAULT_ITER_BUDGET, _CLASS_OF_SEED, DEFAULT_BUDGET_RETRIES
+    )
+    if match is not None:
+        return classification.reps.index(match)
     if undecided:
         raise UndecidableError(
-            f"budget exhausted against candidate classes {undecided}"
+            "budget exhausted against candidate classes "
+            f"{[classification.reps.index(k) for k in undecided]}"
         )
     raise UndecidableError("no candidate class matched; classification incomplete?")
+
+
+def _resolve_bucket(space, sub, keys, budget_iter, seed, retries):
+    """Merge one invariant bucket; returns (reps, unresolved, calls, undefined)."""
+    reps: list[int] = []
+    unresolved: list[tuple[int, int]] = []
+    calls = 0
+    undefined = 0
+    for key in sorted(keys):
+        match, ambiguous, ncalls, nundef = _match(
+            space.function(key), reps, sub, budget_iter, seed, retries
+        )
+        calls += ncalls
+        undefined += nundef
+        if match is None:
+            reps.append(key)
+            unresolved.extend((rkey, key) for rkey in ambiguous)
+    return reps, unresolved, calls, undefined
 
 
 @dataclass
@@ -534,7 +555,7 @@ def classify_pipeline(
     m: int,
     sub: Classification,
     *,
-    budget_iter: int = 4096,
+    budget_iter: int = DEFAULT_ITER_BUDGET,
     retries: int = DEFAULT_BUDGET_RETRIES,
     seed: int = 0,
     inner_guard: int = DEFAULT_INNER_GUARD,
@@ -549,7 +570,6 @@ def classify_pipeline(
     """
     _check_sub(s, t, m, sub)
     sub.ensure_classifiable()
-    from .invariant import class_map, j_hat_signature
 
     space = quotient_space(s, t, m)
     initial_size = initial_cover_set(s, t, m, sub).size
@@ -561,17 +581,15 @@ def classify_pipeline(
         buckets.setdefault(sig, []).append(f.key)
 
     tasks = sorted(buckets.values(), key=lambda keys: (len(keys), keys), reverse=True)
+    resolve = partial(
+        _resolve_bucket, space, sub, budget_iter=budget_iter, seed=seed, retries=retries
+    )
     if jobs > 1 and len(tasks) > 1:
         from .parallel import resolve_buckets_parallel
 
-        results = resolve_buckets_parallel(
-            space.params, sub, tasks, budget_iter, seed, jobs, retries
-        )
+        results = resolve_buckets_parallel(resolve, tasks, jobs)
     else:
-        results = [
-            _resolve_bucket(space, sub, keys, budget_iter, seed, retries)
-            for keys in tasks
-        ]
+        results = [resolve(keys) for keys in tasks]
 
     rep_keys: list[int] = []
     unresolved: list[tuple[int, int]] = []
@@ -603,41 +621,6 @@ def classify_pipeline(
         budget_iter=budget_iter,
     )
     return cls, report
-
-
-def _pair_seed(seed: int, a: int, b: int) -> int:
-    mix = hashlib.sha256(f"{seed}|{a:x}|{b:x}".encode()).digest()
-    return int.from_bytes(mix[:8], "big")
-
-
-def _resolve_bucket(space, sub, keys, budget_iter, seed, retries=DEFAULT_BUDGET_RETRIES):
-    """Merge one invariant bucket; returns (reps, unresolved, calls, undefined)."""
-    from .equivalence import EQUIV, UNDEFINED
-
-    reps: list[int] = []
-    unresolved: list[tuple[int, int]] = []
-    calls = 0
-    undefined = 0
-    for key in sorted(keys):
-        fn = space.function(key)
-        merged = False
-        ambiguous = []
-        for rkey in reps:
-            verdict, ncalls, nundef = _equivalent_with_retries(
-                space.function(rkey), fn, sub, budget_iter,
-                _pair_seed(seed, rkey, key), retries,
-            )
-            calls += ncalls
-            undefined += nundef
-            if verdict == EQUIV:
-                merged = True
-                break
-            if verdict == UNDEFINED:
-                ambiguous.append(rkey)
-        if not merged:
-            reps.append(key)
-            unresolved.extend((rkey, key) for rkey in ambiguous)
-    return reps, unresolved, calls, undefined
 
 
 # --- classification files -----------------------------------------------------

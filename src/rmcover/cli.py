@@ -16,16 +16,17 @@ from random import Random
 from . import __version__
 from . import boolfun as bf
 from .classify import (
+    DEFAULT_BUDGET_RETRIES,
+    DEFAULT_SPACE_GUARD,
     SpaceTooLargeError,
     UndecidableError,
-    class_of,
     classify_pipeline,
     load_classification,
     orbit_enumerate,
     save_classification,
     write_text_atomic,
 )
-from .equivalence import EQUIV, equivalent
+from .equivalence import DEFAULT_ITER_BUDGET, EQUIV, equivalent
 from .group import agl_generators
 from .invariant import class_map, j_hat_signature, j_signature
 from .nonlinearity import (
@@ -287,7 +288,7 @@ def _add_oracle_parser(subs, help_text: str) -> None:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--guard", type=int, default=1 << 26)
+    p.add_argument("--guard", type=int, default=DEFAULT_SPACE_GUARD)
     p.add_argument("--no-stabilizers", dest="stabilizers", action="store_false")
     p.set_defaults(func=_cmd_oracle)
 
@@ -313,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sub", required=True, help="classification file of the lower window")
     pr.add_argument("--out", required=True)
     pr.add_argument("--report", default=None)
-    pr.add_argument("--budget-iter", dest="budget_iter", type=int, default=4096)
-    pr.add_argument("--budget-retries", dest="budget_retries", type=int, default=3)
+    pr.add_argument("--budget-iter", type=int, default=DEFAULT_ITER_BUDGET)
+    pr.add_argument("--budget-retries", type=int, default=DEFAULT_BUDGET_RETRIES)
     pr.add_argument("--seed", type=int, default=0)
     _add_jobs_argument(pr)
     pr.set_defaults(func=_cmd_classify)
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sub", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--iter", type=int, default=4096)
+    p.add_argument("--iter", type=int, default=DEFAULT_ITER_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_equiv)

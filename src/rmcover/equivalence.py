@@ -37,6 +37,8 @@ EQUIV = "Equiv"
 NOT_EQUIV = "NotEquiv"
 UNDEFINED = "Undefined"
 
+DEFAULT_ITER_BUDGET = 4096
+
 
 @dataclass(frozen=True)
 class EquivalenceOutcome:
@@ -159,7 +161,7 @@ def equivalent(
     fp: QuotientFunction,
     sub,
     *,
-    iter_budget: int = 4096,
+    iter_budget: int = DEFAULT_ITER_BUDGET,
     rng: Optional[Random] = None,
 ) -> EquivalenceOutcome:
     """Decide Equiv / NotEquiv / Undefined for two window elements.

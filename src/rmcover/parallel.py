@@ -9,7 +9,6 @@ parameters) and reaches each worker once, through the pool initializer.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 _WORKER_STATE: dict = {}
 
@@ -28,16 +27,13 @@ def _pool_map(fn, tasks, jobs):
         return list(pool.map(_work, tasks))
 
 
-def resolve_buckets_parallel(space_params, sub, tasks, budget_iter, seed, jobs, retries):
-    """Merge invariant buckets across a pool; sub must already be classifiable."""
-    from .classify import _resolve_bucket
-    from .quotient import quotient_space
+def resolve_buckets_parallel(resolve, tasks, jobs):
+    """Merge invariant buckets across a pool, in order.
 
-    fn = partial(
-        _resolve_bucket, quotient_space(*space_params), sub,
-        budget_iter=budget_iter, seed=seed, retries=retries,
-    )
-    return _pool_map(fn, tasks, jobs)
+    ``resolve`` maps one bucket's keys to its merge result; the lower-window
+    classification it carries must already be classifiable.
+    """
+    return _pool_map(resolve, tasks, jobs)
 
 
 def probe_batch_parallel(walk, chunks, jobs):

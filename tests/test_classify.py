@@ -1,10 +1,12 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from rmcover import (
     AffineTransformation,
+    Classification,
     SpaceTooLargeError,
     UndecidableError,
     agl_order,
@@ -389,11 +391,34 @@ class TestClassOf:
         blind = copy.copy(oracle234)
         blind.lookup = None
         blind._rep_jhat = None
-        space = oracle234.space
+        blind.fallback_sub = sub123
         for _ in range(10):
             i = rng.randrange(oracle234.n_classes)
             moved = q_apply_affine(oracle234.rep_function(i), random_affine(4, rng))
-            assert class_of(moved, blind, sub=sub123, rng=rng) == i
+            assert class_of(moved, blind) == i
+
+    def test_fallback_follows_renumbered_sub(self, oracle234, sub123):
+        # the representatives' signatures depend on the numbering of the
+        # lower window: a renumbered classification of the same window must
+        # not reuse the signatures computed under the first one
+        import copy
+
+        renumbered = Classification(
+            space=sub123.space,
+            reps=sub123.reps[::-1],
+            lookup=(sub123.n_classes - 1 - sub123.lookup).astype(np.int32),
+        )
+        assert renumbered.digest != sub123.digest
+        rng = random.Random(4)
+        blind = copy.copy(oracle234)
+        blind.lookup = None
+        blind._rep_jhat = None
+        for _ in range(3):
+            i = rng.randrange(oracle234.n_classes)
+            moved = q_apply_affine(oracle234.rep_function(i), random_affine(4, rng))
+            for sub in (sub123, renumbered, sub123):
+                blind.fallback_sub = sub
+                assert class_of(moved, blind) == i
 
     def test_fallback_requires_sub(self, oracle234):
         import copy
@@ -436,6 +461,20 @@ class TestPipeline:
     def test_parallel_jobs_agree(self, sub123, oracle234):
         cls, report = classify_pipeline(2, 3, 4, sub123, budget_iter=2048, seed=0, jobs=2)
         assert cls.n_classes == oracle234.n_classes
+
+    def test_retries_settle_undefined_pairs(self):
+        # at seed 28 one pair of B(2,3,6) stays Undefined through 3 searches
+        # and is kept apart as an unresolved pair; more retries decide it
+        sub = orbit_enumerate(1, 2, 5)
+        cls, report = classify_pipeline(2, 3, 6, sub, seed=28, retries=3)
+        assert (cls.n_classes, report.equivalence_calls) == (35, 106)
+        assert report.undefined_outcomes == 10
+        assert report.unresolved_pairs == [(1061216, 1241514022)]
+        cls, report = classify_pipeline(2, 3, 6, sub, seed=28, retries=8)
+        assert (cls.n_classes, report.equivalence_calls) == (34, 107)
+        assert report.undefined_outcomes == 10
+        assert not report.unresolved_pairs
+        assert cls.digest == "6c3f590c9416ab65"
 
     def test_pipeline_through_fallback_chain(self, sub123, oracle234):
         # simulate a sub window too large for a lookup: strip it and classify
