@@ -34,12 +34,13 @@ from .group import (
     identity,
     invert,
 )
-from .invariant import class_map, j_hat_signature
+from .invariant import class_maps, j_hat_signatures
 from .quotient import (
     QuotientFunction,
     QuotientSpace,
     action_matrix,
     apply_key,
+    byte_tables,
     compose_decomposition,
     multiply_affine_form,
     q_apply_affine,
@@ -142,20 +143,6 @@ class Classification:
 # --- exact orbit enumeration ------------------------------------------------
 
 
-def _byte_tables(images: Sequence[int], dim: int) -> np.ndarray:
-    nchunks = max(1, (dim + 7) // 8)
-    tables = np.zeros((nchunks, 256), dtype=np.int64)
-    for c in range(nchunks):
-        base = 8 * c
-        tab = tables[c]
-        for b in range(1, 256):
-            low = b & -b
-            idx = base + low.bit_length() - 1
-            img = images[idx] if idx < dim else 0
-            tab[b] = tab[b ^ low] ^ img
-    return tables
-
-
 def _apply_tables(keys: np.ndarray, tables: np.ndarray) -> np.ndarray:
     acc = tables[0][keys & 255]
     for c in range(1, len(tables)):
@@ -232,7 +219,7 @@ def orbit_enumerate(
         )
     gens = list(generators) if generators is not None else agl_generators(m)
     images_per_gen = [action_matrix(space, g) for g in gens]
-    tables = [_byte_tables(images, space.dim) for images in images_per_gen]
+    tables = [byte_tables(images, space.dim) for images in images_per_gen]
 
     lookup = np.full(n, -1, dtype=np.int32)
     reps: list[int] = []
@@ -417,7 +404,7 @@ def reduce_cover_set(
                     "representative"
                 )
             tables.append(
-                _byte_tables(
+                byte_tables(
                     [compress(gf2_reduce(images[q], basis)) for q in free], len(free)
                 )
             )
@@ -500,9 +487,11 @@ def class_of(qf: QuotientFunction, classification: Classification) -> int:
     if cached is None or cached[0] != sub.digest:
         cached = classification._rep_jhat = (
             sub.digest,
-            [j_hat_signature(class_map(r, sub)) for r in classification.rep_functions()],
+            j_hat_signatures(
+                class_maps(classification.space, classification.reps, sub), sub.digest
+            ),
         )
-    sig = j_hat_signature(class_map(qf, sub))
+    sig = j_hat_signatures(class_maps(qf.space, [qf.key], sub), sub.digest)[0]
     candidates = [k for k, rsig in zip(classification.reps, cached[1]) if rsig == sig]
     match, undecided, _, _ = _match(
         qf, candidates, sub, DEFAULT_ITER_BUDGET, _CLASS_OF_SEED, DEFAULT_BUDGET_RETRIES
@@ -575,10 +564,10 @@ def classify_pipeline(
     initial_size = initial_cover_set(s, t, m, sub).size
     cover = reduce_cover_set(s, t, m, sub, inner_guard=inner_guard)
 
+    keys = [f.key for f in cover.assembled(sub)]
     buckets: dict = {}
-    for f in cover.assembled(sub):
-        sig = j_hat_signature(class_map(f, sub))
-        buckets.setdefault(sig, []).append(f.key)
+    for key, sig in zip(keys, j_hat_signatures(class_maps(space, keys, sub), sub.digest)):
+        buckets.setdefault(sig, []).append(key)
 
     tasks = sorted(buckets.values(), key=lambda keys: (len(keys), keys), reverse=True)
     resolve = partial(

@@ -28,7 +28,7 @@ from .classify import (
 )
 from .equivalence import DEFAULT_ITER_BUDGET, EQUIV, equivalent
 from .group import agl_generators
-from .invariant import class_map, j_hat_signature, j_signature
+from .invariant import class_maps, j_hat_signatures, j_signatures
 from .nonlinearity import (
     InconsistentTableError,
     InfeasibleError,
@@ -96,22 +96,31 @@ def _window_function(space: QuotientSpace, f: bf.BooleanFunction, name: str):
     return space.function(space.key_from_anf(anf))
 
 
-def _jobs(text: str) -> int:
-    """Worker count of ``--jobs``; its default, RMCOVER_JOBS or 1, passes
-    through here too, so a bad environment value fails like a bad flag."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"invalid value {text!r}: --jobs and RMCOVER_JOBS take a positive integer"
-        )
-    return jobs
+def _positive_int(what: str):
+    """Argparse type of a count option; ``what`` names the count in errors.
+    The default of ``--jobs``, RMCOVER_JOBS or 1, passes through here too,
+    so a bad environment value fails like a bad flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"invalid value {text!r}: {what} is a positive integer"
+            )
+        return value
+
+    return parse
 
 
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_jobs, default=os.environ.get("RMCOVER_JOBS", "1"))
+    parser.add_argument(
+        "--jobs",
+        type=_positive_int("the worker count (--jobs or RMCOVER_JOBS)"),
+        default=os.environ.get("RMCOVER_JOBS", "1"),
+    )
 
 
 # --- subcommands -------------------------------------------------------------
@@ -164,10 +173,12 @@ def _cmd_invariant(args) -> int:
     space = quotient_space(s, t, m)
     lines = _report_header(args)
     lines.append(f"# classification {sub.digest}")
-    for f in _read_functions(args.infile, m):
-        cm = class_map(_window_function(space, f, "input function"), sub)
-        sj = j_signature(cm)
-        sh = j_hat_signature(cm)
+    keys = [
+        _window_function(space, f, "input function").key
+        for f in _read_functions(args.infile, m)
+    ]
+    maps = class_maps(space, keys, sub)
+    for sj, sh in zip(j_signatures(maps, sub.digest), j_hat_signatures(maps, sub.digest)):
         pairs = ",".join(f"{v}:{c}" for v, c in sj.pairs)
         hpairs = ",".join(f"{v}:{c}" for v, c in sh.pairs)
         lines.append(f"J {pairs}")
@@ -315,7 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", required=True)
     pr.add_argument("--report", default=None)
     pr.add_argument("--budget-iter", type=int, default=DEFAULT_ITER_BUDGET)
-    pr.add_argument("--budget-retries", type=int, default=DEFAULT_BUDGET_RETRIES)
+    pr.add_argument(
+        "--budget-retries",
+        type=_positive_int("the number of searches per pair"),
+        default=DEFAULT_BUDGET_RETRIES,
+    )
     pr.add_argument("--seed", type=int, default=0)
     _add_jobs_argument(pr)
     pr.set_defaults(func=_cmd_classify)

@@ -5,11 +5,12 @@ composition of the other modulo the window floor.  The test filters on the
 Walsh distribution invariant, then searches depth-first for a linear
 candidate compatible with the Walsh transforms of the derivative class maps,
 and finally completes each candidate with an affine part through the
-derivative-subspace membership check.  Each search node computes one numpy
-mask of admissible images, and each node of the last level tests all its
-complete candidates at once for the degree-t part of the check before any of
-them reaches the full check.  Every returned witness is re-verified by direct
-recomposition before it is reported.
+derivative-subspace membership check.  Each search node computes, once for
+all its children, the two tables their numpy masks of admissible images are
+read from, and each node one level above the last tests the complete
+candidates of all its children at once for the degree-t part of the check
+before any of them reaches the full check.  Every returned witness is
+re-verified by direct recomposition before it is reported.
 """
 
 from __future__ import annotations
@@ -103,6 +104,35 @@ def admissible_mask(
     return ok
 
 
+def sibling_masks(
+    images: np.ndarray,
+    i: int,
+    fh_f: np.ndarray,
+    fh_fp: np.ndarray,
+    ys: np.ndarray,
+) -> np.ndarray:
+    """The admissible-image masks of the children of a level-i node.
+
+    Row k equals ``admissible_mask(images', i + 1, fh_f, fh_fp)`` where
+    images' extends ``images`` by b_i -> ys[k].  With h = 2^(i-1) and
+    span = images[:h], a child's Walsh conditions on z < h read
+    fh_fp[span[z] ^ y'] == fh_f[2h + z], the same for every sibling, and
+    those on z >= h read fh_fp[span[z - h] ^ y ^ y'] == fh_f[3h + z - h],
+    one table read at y ^ y'.  Both come from one gather over the span.
+    """
+    half = 1 << (i - 1)
+    span = images[:half]
+    points = np.arange(len(fh_fp))
+    values = fh_fp[span[:, None] ^ points]
+    shared = (values == fh_f[2 * half : 3 * half, None]).all(0)
+    shifted = (values == fh_f[3 * half : 4 * half, None]).all(0)
+    ys = np.asarray(ys)[:, None]
+    ok = shared & shifted[points ^ ys]
+    ok[:, span] = False
+    ok[np.arange(len(ys))[:, None], span ^ ys] = False
+    return ok
+
+
 @lru_cache(maxsize=None)
 def _leaf_tables(m: int, t: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
     """Parity table, degree-t masks and Moebius-top matrix of the leaf filter.
@@ -124,11 +154,12 @@ def _leaf_tables(m: int, t: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarra
 
 
 def top_degree_filter(f: QuotientFunction, fp: QuotientFunction):
-    """The leaf test of the search, batched over the last row of A.
+    """The leaf test of the search, batched over complete candidates.
 
     Returns ``test(head, ys)``: a bool per y in ``ys`` telling whether f o A
     and fp have the same ANF coefficients of degree t, where A has the m-1
-    rows ``head`` followed by y.  For invertible A this holds exactly when
+    rows ``head`` followed by y; ``head`` is shared by every y, or has one
+    row of m-1 entries per y.  For invertible A this holds exactly when
     deg(fp o A^-1 + f) <= t-1, since composing with A or A^-1 maps the
     degree-t part of a function to the degree-t part of the image and keeps
     lower terms lower; ``candidate_checking`` returns None whenever the test
@@ -145,11 +176,11 @@ def top_degree_filter(f: QuotientFunction, fp: QuotientFunction):
     fp_top = np.array([(anf >> mask) & 1 for mask in masks], dtype=np.float32)
     weights = 1 << np.arange(m - 1)
 
-    def test(head: Sequence[int], ys: Sequence[int]) -> np.ndarray:
+    def test(head, ys: Sequence[int]) -> np.ndarray:
         # Point maps of the candidates, one row per y: bit j of pm[k, x] is
         # the parity of row j of A_k and x.
         last = parity[np.asarray(ys, dtype=np.intp)] << (m - 1)
-        pm = (weights @ parity[list(head)]) ^ last
+        pm = (weights @ parity[np.asarray(head, dtype=np.intp)]) ^ last
         coeffs = np.fmod(f_tt[pm] @ top, 2)
         return (coeffs == fp_top).all(1)
 
@@ -169,12 +200,14 @@ def equivalent(
     Distinct Walsh distribution invariants settle NotEquiv outright.
     Otherwise f is pre-composed with a random affine map (which only
     re-randomizes the deterministic search order) and candidates are built
-    basis vector by basis vector.  Each node takes its admissible images from
-    one ``admissible_mask`` and tries them in a per-level shuffled order.  On
-    the last level, ``top_degree_filter`` tests the degree-t part of every
-    complete candidate of the node at once; only the candidates that pass it
-    are checked for an affine completion by ``candidate_checking``.  The
-    budget counts complete candidates that fail either test; exhausting the
+    basis vector by basis vector.  Each node tries its admissible images in a
+    per-level shuffled order; the root takes them from ``admissible_mask``,
+    every other node from the ``sibling_masks`` its parent computed once for
+    all its children.  One level above the last, ``top_degree_filter``
+    tests the degree-t part of the complete candidates of all the node's
+    children at once; in visit order, the candidates that pass it are
+    checked for an affine completion by ``candidate_checking``.  The budget
+    counts complete candidates that fail either test; exhausting the
     candidate tree yields NotEquiv, exhausting the budget yields Undefined.
     """
     if f.space.params != fp.space.params:
@@ -210,17 +243,18 @@ def equivalent(
 
     leaf_test = top_degree_filter(fr, fp)
     images = np.zeros(n, dtype=np.intp)
+    head_points = 1 << np.arange(m - 2)
     state = {"verdict": NOT_EQUIV, "witness": None, "tested": 0, "budget": iter_budget}
 
-    def check_leaves(ys: np.ndarray) -> None:
+    def check_leaves(heads: np.ndarray, ys: np.ndarray) -> None:
         # A = transpose(A*): the rows of A are the basis images under A*.
-        head = tuple(images[1 << j].item() for j in range(m - 1))
-        for y, passed in zip(ys.tolist(), leaf_test(head, ys).tolist()):
+        verdicts = leaf_test(heads, ys).tolist()
+        for head, y, passed in zip(heads.tolist(), ys.tolist(), verdicts):
             if state["verdict"] != NOT_EQUIV:
                 return
             state["tested"] += 1
             if passed:
-                rows = head + (y,)
+                rows = (*head, y)
                 try:
                     a = candidate_checking(rows, fr, fp)
                 except SingularMatrixError:
@@ -235,20 +269,31 @@ def equivalent(
             if state["budget"] < 0:
                 state["verdict"] = UNDEFINED
 
-    def search(i: int) -> None:
+    def search(i: int, admissible: np.ndarray) -> None:
         order = orders[i - 1]
-        ys = order[admissible_mask(images, i, fh_f, fh_fp)[order]]
-        if i == m:
-            if len(ys):
-                check_leaves(ys)
+        ys = order[admissible[order]]
+        if not len(ys):
+            return
+        if i == m:  # only a one-variable search starts on its last level
+            check_leaves(np.zeros((len(ys), 0), dtype=np.intp), ys)
+            return
+        masks = sibling_masks(images, i, fh_f, fh_fp, ys)
+        if i == m - 1:
+            # The children are last-level nodes: their complete candidates,
+            # in visit order, are tested in one batch.
+            which, where = np.nonzero(masks[:, orders[m - 1]])
+            heads = np.empty((len(which), m - 1), dtype=np.intp)
+            heads[:, :-1] = images[head_points]
+            heads[:, -1] = ys[which]
+            check_leaves(heads, orders[m - 1][where])
             return
         half = 1 << (i - 1)
-        for y in ys.tolist():
+        for y, mask in zip(ys.tolist(), masks):
             if state["verdict"] != NOT_EQUIV:
                 return
             images[half : 2 * half] = images[:half] ^ y
-            search(i + 1)
+            search(i + 1, mask)
 
-    search(1)
+    search(1, admissible_mask(images, 1, fh_f, fh_fp))
     failed = iter_budget - state["budget"]
     return EquivalenceOutcome(state["verdict"], state["witness"], state["tested"], failed)

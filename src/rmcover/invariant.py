@@ -5,15 +5,22 @@ equivalence class of the restricted derivative of f along v, numbered by a
 fixed classification of the (s-1, t-1, m-1) window.  Its value distribution
 and the distribution of its integer Walsh-Hadamard transform are invariant
 under the affine action; they are the workhorse filters of the classifier.
+
+For a fixed direction v, f -> key of restrict(D_v f, v) is GF(2)-linear on
+window keys, so all directions of a batch of keys are read off one byte
+table per key byte (``derivative_tables``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
-from . import boolfun as bf
-from .quotient import QuotientFunction, quotient_space
+import numpy as np
+
+from .boolfun import wht
+from .quotient import QuotientFunction, QuotientSpace, byte_tables, quotient_space
 
 
 @dataclass(frozen=True)
@@ -34,47 +41,150 @@ class InvariantSignature:
     classification_digest: str
 
 
-def class_map(f: QuotientFunction, sub) -> ClassMap:
-    """Map each direction to the class of the restricted derivative.
+def _derived_key(mask: int, v: int, sub: QuotientSpace) -> int:
+    """Key in ``sub`` of restrict(D_v x^mask, v), for v != 0.
 
-    ``sub`` must classify the (s-1, t-1, m-1) window.  The zero direction maps
-    to the class of the zero function.
+    (x + v)^mask is the sum of x^(mask - T) over the subsets T of mask & v,
+    so D_v x^mask keeps the nonempty T.  Restricting to x_p = 0, p the top
+    coordinate of v, drops the terms that still hold x_p (T must take p when
+    mask has it) and closes the gap at p; ``sub`` then keeps its degrees.
     """
-    expect = (max(f.s - 1, 0), f.t - 1, f.m - 1)
+    p = v.bit_length() - 1
+    below = (1 << p) - 1
+    forced = mask & (1 << p)
+    free = mask & v & ~forced
+    key = 0
+    part = free
+    while True:
+        taken = forced | part
+        if taken:
+            rest = mask ^ taken
+            j = sub.index.get(((rest >> (p + 1)) << p) | (rest & below))
+            if j is not None:
+                key |= 1 << j
+        if not part:
+            return key
+        part = (part - 1) & free
+
+
+@lru_cache(maxsize=None)
+def derivative_tables(s: int, t: int, m: int) -> np.ndarray:
+    """Byte tables of the derived sub keys of the (s, t, m) window.
+
+    Entry [c, b, v] is the (s-1, t-1, m-1) key of restrict(D_v f, v) for
+    the f whose key is byte value b at key byte c and zero elsewhere;
+    direction 0 maps to the zero key.  The array is shared by every caller
+    and read-only.
+    """
+    space = quotient_space(s, t, m)
+    sub = quotient_space(s - 1, t - 1, m - 1)
+    if sub.dim > 63:
+        raise ValueError(f"derived keys of {sub} do not fit in int64")
+    images = np.zeros((space.dim, 1 << m), dtype=np.int64)
+    for j, mask in enumerate(space.masks):
+        images[j, 1:] = [_derived_key(mask, v, sub) for v in range(1, 1 << m)]
+    tables = byte_tables(images, space.dim)
+    tables.setflags(write=False)
+    return tables
+
+
+def derived_keys(space: QuotientSpace, keys: Sequence[int]) -> np.ndarray:
+    """Keys of restrict(D_v f, v) for a batch of window keys, all v at once.
+
+    Row i, column v holds the (s-1, t-1, m-1) key derived from keys[i] along
+    v: one gather per key byte and one XOR.  The window keys may be wider
+    than 63 bits, so they are split into bytes in Python.
+    """
+    tables = derivative_tables(*space.params)
+    nbytes = len(tables)
+    parts = np.frombuffer(
+        b"".join(key.to_bytes(nbytes, "little") for key in keys), dtype=np.uint8
+    ).reshape(len(keys), nbytes)
+    derived = tables[0][parts[:, 0]]
+    for c in range(1, nbytes):
+        derived ^= tables[c][parts[:, c]]
+    return derived
+
+
+def class_maps(space: QuotientSpace, keys: Sequence[int], sub) -> np.ndarray:
+    """Class maps of a batch of window keys: row i holds that of keys[i].
+
+    ``sub`` must classify the (s-1, t-1, m-1) window.  A sub with a lookup
+    numbers the derived keys directly; otherwise each distinct derived key
+    is resolved by ``class_of``.  The zero direction maps to the class of
+    the zero function.
+    """
+    expect = (max(space.s - 1, 0), space.t - 1, space.m - 1)
     if tuple(sub.space.params) != expect:
         raise ValueError(
             f"classification covers {sub.space.params}, class map needs {expect}"
         )
+    derived = derived_keys(space, keys)
+    if sub.lookup is not None:
+        return sub.lookup[derived].astype(np.int64)
+
     from .classify import class_of
 
-    sub_space = quotient_space(*expect)
-    lift = f.lift()
-    values = [0] * (1 << f.m)
-    zero_cls = class_of(sub_space.zero(), sub)
-    values[0] = zero_cls
-    for v in range(1, 1 << f.m):
-        der = bf.derivative(lift, v)
-        if der.tt == 0:
-            values[v] = zero_cls
-            continue
-        restricted = bf.restrict(der, v)
-        key = sub_space.key_from_anf(bf.mobius_transform(restricted.tt, restricted.m))
-        values[v] = class_of(sub_space.function(key), sub)
-    return ClassMap(f.m, tuple(values), sub.digest)
+    distinct, inverse = np.unique(derived, return_inverse=True)
+    classes = np.array(
+        [class_of(sub.space.function(k), sub) for k in distinct.tolist()],
+        dtype=np.int64,
+    )
+    return classes[inverse].reshape(derived.shape)
+
+
+def class_map(f: QuotientFunction, sub) -> ClassMap:
+    """Map each direction to the class of the restricted derivative."""
+    values = class_maps(f.space, [f.key], sub)[0]
+    return ClassMap(f.m, tuple(values.tolist()), sub.digest)
+
+
+def _histograms(kind: str, rows, digest: str) -> list[InvariantSignature]:
+    """One sorted (value, multiplicity) signature per row, for all rows at once.
+
+    After sorting each row, a run starts wherever a value differs from its
+    left neighbour, and every row starts one; in row-major order the next
+    start (or the end) closes each run, so one diff counts them all.
+    """
+    rows = np.sort(np.asarray(rows), axis=1)
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    flat = np.flatnonzero(starts)
+    values = rows.ravel()[flat].tolist()
+    counts = np.diff(flat, append=rows.size).tolist()
+    ends = np.cumsum(starts.sum(1)).tolist()
+    out = []
+    begin = 0
+    for end in ends:
+        pairs = tuple(zip(values[begin:end], counts[begin:end]))
+        out.append(InvariantSignature(kind, pairs, digest))
+        begin = end
+    return out
+
+
+def j_signatures(maps: np.ndarray, digest: str) -> list[InvariantSignature]:
+    """Distribution of the values of each class map, one per row of ``maps``."""
+    return _histograms("J", maps, digest)
+
+
+def j_hat_signatures(maps: np.ndarray, digest: str) -> list[InvariantSignature]:
+    """Distribution of the Walsh-Hadamard transform of each row of ``maps``."""
+    if not len(maps):
+        return []
+    # wht transforms every column of a 2-D array
+    return _histograms("Jhat", wht(np.asarray(maps, dtype=np.int64).T).T, digest)
 
 
 def j_signature(cm: ClassMap) -> InvariantSignature:
     """Distribution of the class-map values."""
-    pairs = tuple(sorted(Counter(cm.values).items()))
-    return InvariantSignature("J", pairs, cm.classification_digest)
+    return j_signatures([cm.values], cm.classification_digest)[0]
 
 
 def fourier_map(cm: ClassMap) -> tuple[int, ...]:
     """Integer Walsh-Hadamard transform of the class map."""
-    return tuple(bf.wht(cm.values).tolist())
+    return tuple(wht(cm.values).tolist())
 
 
 def j_hat_signature(cm: ClassMap) -> InvariantSignature:
     """Distribution of the Walsh-Hadamard transform of the class map."""
-    pairs = tuple(sorted(Counter(fourier_map(cm)).items()))
-    return InvariantSignature("Jhat", pairs, cm.classification_digest)
+    return j_hat_signatures([cm.values], cm.classification_digest)[0]

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from . import boolfun as bf
 from .boolfun import AnfPolynomial, BooleanFunction
@@ -255,14 +257,23 @@ def delta_membership(qf_base: QuotientFunction, candidate: QuotientFunction) -> 
     else:
         raise ValueError("candidate parameters are incompatible")
 
-    # Eliminate key_j * 2^m + e_j, so the low m bits track the directions
-    # combined; reducing target * 2^m clears the key bits of a member and
-    # leaves its direction in the low bits.
-    basis = gf2_echelon(
-        (b.key << m) | (1 << j) for j, b in enumerate(delta_space_basis(qf_base))
-    )
-    reduced = gf2_reduce(target << m, basis)
+    reduced = gf2_reduce(target << m, _delta_echelon(qf_base))
     return None if reduced >> m else reduced
+
+
+@lru_cache(maxsize=16)
+def _delta_echelon(qf_base: QuotientFunction) -> tuple[int, ...]:
+    """Echelon basis of key_j * 2^m + e_j over the unit-direction derivatives.
+
+    The low m bits track the directions combined, so reducing target * 2^m
+    clears the key bits of a member and leaves its direction in the low
+    bits.  The equivalence search asks about one base function for every
+    candidate, hence the cache.
+    """
+    m = qf_base.m
+    return tuple(
+        gf2_echelon((b.key << m) | (1 << j) for j, b in enumerate(delta_space_basis(qf_base)))
+    )
 
 
 def action_matrix(space: QuotientSpace, s: AffineTransformation) -> list[int]:
@@ -291,3 +302,22 @@ def apply_key(images: list[int], key: int) -> int:
         out ^= images[low.bit_length() - 1]
         key ^= low
     return out
+
+
+def byte_tables(images: Sequence, dim: int) -> np.ndarray:
+    """Tables of a linear map on keys, one per key byte.
+
+    ``images[j]`` is the image of key bit j: an integer, or a row of
+    integers when the map has several outputs.  Entry [c, b] is the XOR of
+    the images of the set bits of byte value b in key byte c, so the image
+    of a key is the XOR over its bytes of one entry each.  Images must fit
+    in int64.
+    """
+    nchunks = max(1, (dim + 7) // 8)
+    padded = np.zeros((8 * nchunks,) + np.shape(images)[1:], dtype=np.int64)
+    padded[:dim] = images
+    tables = np.zeros((nchunks, 256) + padded.shape[1:], dtype=np.int64)
+    for k in range(8):
+        # byte values with top bit k: those below 2^k, plus bit k's image
+        tables[:, 1 << k : 2 << k] = tables[:, : 1 << k] ^ padded[k::8, None]
+    return tables

@@ -476,6 +476,14 @@ class TestPipeline:
         assert not report.unresolved_pairs
         assert cls.digest == "6c3f590c9416ab65"
 
+    def test_traced_bench_seed(self):
+        # the pipeline the benchmark traces: B(1,2,5) oracle, seed 211, 8 retries
+        sub = orbit_enumerate(1, 2, 5)
+        cls, report = classify_pipeline(2, 3, 6, sub, seed=211, retries=8)
+        assert cls.digest == "6c3f590c9416ab65"
+        assert (report.equivalence_calls, report.undefined_outcomes) == (101, 4)
+        assert not report.unresolved_pairs
+
     def test_pipeline_through_fallback_chain(self, sub123, oracle234):
         # simulate a sub window too large for a lookup: strip it and classify
         # through invariant bucketing against its stored representatives

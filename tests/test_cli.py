@@ -132,6 +132,17 @@ class TestCli:
             assert "--jobs" in err and "positive integer" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["reps.cls"]
 
+    @pytest.mark.parametrize("retries", ["0", "-5", "two"])
+    def test_bad_budget_retries_exits_2(self, tmp_path, capsys, retries):
+        sub = tmp_path / "b123.cls"
+        run(["oracle", "--s", "1", "--t", "2", "--m", "3", "--out", str(sub)], capsys)
+        argv = ["classify", "run", "--s", "2", "--t", "3", "--m", "4", "--sub", str(sub),
+                "--out", str(tmp_path / "x.cls"), "--report", str(tmp_path / "x.report")]
+        code, out, err = run(argv + ["--budget-retries", retries], capsys)
+        assert code == 2 and out == ""
+        assert "--budget-retries" in err and "positive integer" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b123.cls"]
+
     def test_bad_jobs_environment_exits_2(self, tmp_path, capsys, monkeypatch):
         reps = tmp_path / "reps.cls"
         run(["oracle", "--s", "2", "--t", "3", "--m", "4", "--out", str(reps)], capsys)

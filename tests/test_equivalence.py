@@ -19,7 +19,7 @@ from rmcover import (
     random_affine,
 )
 from rmcover.boolfun import anf_degree, mobius_transform
-from rmcover.equivalence import admissible_mask, top_degree_filter
+from rmcover.equivalence import admissible_mask, sibling_masks, top_degree_filter
 from rmcover.group import SingularMatrixError, identity_rows, invert_rows, matvec
 
 
@@ -136,6 +136,15 @@ class TestAdmissible:
                     mask = admissible_mask(images, i, fh_f, fh_fp)
                     assert mask.tolist() == expect
                     admitted += sum(expect)
+                    if i == m:
+                        continue
+                    # the children's masks, for every y, from the parent
+                    fh = (np.array(fh_f), np.array(fh_fp))
+                    children = sibling_masks(np.array(images), i, *fh, np.arange(n))
+                    for y in range(n):
+                        extended = images[:half] + [z ^ y for z in images[:half]]
+                        child = admissible_mask(extended, i + 1, fh_f, fh_fp)
+                        assert children[y].tolist() == child.tolist()
         assert admitted
 
 
@@ -198,6 +207,27 @@ class TestTopDegreeFilter:
             fp = q_apply_affine(f, w)
             ys = np.array([rng.randrange(1 << m), w.rows[-1], rng.randrange(1 << m)])
             assert top_degree_filter(f, fp)(w.rows[:-1], ys)[1]
+
+
+    @pytest.mark.parametrize("params", [(2, 3, 5), (1, 2, 7)])
+    def test_one_head_per_candidate(self, params):
+        # a batch with a head per y gives the verdicts of each head alone
+        s, t, m = params
+        space = quotient_space(s, t, m)
+        rng = random.Random(20 + sum(params))
+        n = 1 << m
+        f = space.function(rng.randrange(1 << space.dim))
+        w = random_affine(m, rng)
+        test = top_degree_filter(f, q_apply_affine(f, w))
+        heads = [w.rows[:-1]] + [
+            w.rows[:-2] + (rng.randrange(n),) if k % 2 else
+            tuple(rng.randrange(n) for _ in range(m - 1))
+            for k in range(15)
+        ]
+        ys = [w.rows[-1]] + [rng.randrange(n) for _ in range(15)]
+        verdicts = test(np.array(heads), ys).tolist()
+        assert verdicts == [test(head, [y])[0] for head, y in zip(heads, ys)]
+        assert verdicts[0]
 
 
 class TestEquivalent:
@@ -348,3 +378,41 @@ class TestGolden:
             assert (out.verdict, got, out.candidates_tested, out.budget_used) == (
                 verdict, witness, tested, used,
             ), (fk, gk, budget, seed)
+
+
+class TestSiblingMasks:
+    @pytest.mark.parametrize("params", [(2, 3, 5), (1, 2, 7)])
+    def test_equal_admissible_mask_at_every_node(self, params, golden_subs, monkeypatch):
+        # every child mask the search reads equals admissible_mask on the
+        # extended image span, and the pinned outcomes do not move
+        from rmcover import equivalence
+
+        computed = equivalence.sibling_masks
+        nodes = []
+
+        def checked(images, i, fh_f, fh_fp, ys):
+            masks = computed(images, i, fh_f, fh_fp, ys)
+            half = 1 << (i - 1)
+            for y, mask in zip(ys.tolist(), masks):
+                extended = images.copy()
+                extended[half : 2 * half] = images[:half] ^ y
+                assert mask.tolist() == admissible_mask(extended, i + 1, fh_f, fh_fp).tolist()
+                nodes.append(i + 1)
+            return masks
+
+        monkeypatch.setattr(equivalence, "sibling_masks", checked)
+        s, t, m = params
+        space = quotient_space(s, t, m)
+        sub = golden_subs[(max(s - 1, 0), t - 1, m - 1)]
+        for _, fk, gk, budget, seed, verdict, witness, tested, used in [
+            case for case in GOLDEN if case[0] == params
+        ]:
+            out = equivalent(
+                space.function(fk), space.function(gk), sub,
+                iter_budget=budget, rng=random.Random(seed),
+            )
+            got = None if out.witness is None else (out.witness.rows, out.witness.trans)
+            assert (out.verdict, got, out.candidates_tested, out.budget_used) == (
+                verdict, witness, tested, used,
+            )
+        assert set(nodes) == set(range(2, m + 1))

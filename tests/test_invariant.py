@@ -1,3 +1,4 @@
+import copy
 import random
 
 import numpy as np
@@ -6,17 +7,33 @@ import pytest
 from rmcover import (
     anf_from_string,
     class_map,
+    class_of,
+    derivative,
     fourier_map,
     j_hat_signature,
     j_signature,
+    mobius_transform,
     orbit_enumerate,
     q_apply_affine,
     quotient_space,
     random_affine,
+    restrict,
     wht,
 )
 from rmcover.group import matvec, transpose_rows
-from rmcover.invariant import ClassMap
+from rmcover.invariant import ClassMap, class_maps, derived_keys
+
+# the order-4 quintic of the m = 8 acceptance test (C7)
+QUINTIC_12_TERMS = (
+    "abcef+acdef+abcdg+abdeg+abcfg+acdeh+abcfh+bdefh+bcdgh+abegh+adfgh+cefgh"
+)
+
+# every window the suite classifies by orbit enumeration
+ENUMERATED_WINDOWS = [
+    (0, 1, 2), (0, 1, 6), (1, 1, 2), (1, 2, 3), (1, 2, 4), (1, 2, 5),
+    (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3), (2, 3, 4), (2, 3, 5),
+    (3, 3, 4), (3, 3, 5), (3, 4, 5), (4, 3, 4), (5, 5, 7),
+]
 
 
 def qf(text, s, t, m):
@@ -48,6 +65,64 @@ class TestWht:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             wht([1, 2, 3])
+
+
+def per_direction_keys(f):
+    """Reference derived keys, one direction at a time: lift, derivative,
+    restriction, Moebius transform, key of the lower window."""
+    sub_space = quotient_space(f.s - 1, f.t - 1, f.m - 1)
+    lift = f.lift()
+    keys = [0]
+    for v in range(1, 1 << f.m):
+        der = restrict(derivative(lift, v), v)
+        keys.append(sub_space.key_from_anf(mobius_transform(der.tt, der.m)))
+    return keys
+
+
+def per_direction_class_map(f, sub):
+    """Reference class map: class_of of every per-direction derived key."""
+    return [class_of(sub.space.function(k), sub) for k in per_direction_keys(f)]
+
+
+class TestTablePath:
+    @pytest.mark.parametrize("params", ENUMERATED_WINDOWS)
+    def test_equals_per_direction_oracle(self, params):
+        s, t, m = params
+        cls = orbit_enumerate(s, t, m, stabilizers=False)
+        sub = orbit_enumerate(max(s - 1, 0), t - 1, m - 1, stabilizers=False)
+        rng = random.Random(100 * m + 10 * t + s)
+        keys = cls.reps + [rng.randrange(1 << cls.space.dim) for _ in range(200)]
+        maps = class_maps(cls.space, keys, sub)
+        assert maps.shape == (len(keys), 1 << m)
+        for key, row in zip(keys, maps.tolist()):
+            f = cls.space.function(key)
+            assert row == per_direction_class_map(f, sub)
+            assert class_map(f, sub).values == tuple(row)
+
+    def test_sub_without_lookup_goes_through_class_of(self, oracle234, sub123):
+        blind = copy.copy(oracle234)
+        blind.lookup = None
+        blind._rep_jhat = None
+        blind.fallback_sub = sub123
+        cls = orbit_enumerate(3, 4, 5, stabilizers=False)
+        rng = random.Random(345)
+        keys = cls.reps + [rng.randrange(1 << cls.space.dim) for _ in range(10)]
+        expect = [per_direction_class_map(cls.space.function(k), oracle234) for k in keys]
+        assert class_maps(cls.space, keys, blind).tolist() == expect
+        assert blind._rep_jhat is not None  # the class_of fallback ran
+
+    def test_wide_keys(self):
+        # B(5,6,8) keys have 84 bits; their derived B(4,5,7) keys fit in int64
+        space = quotient_space(5, 6, 8)
+        assert space.dim == 84
+        quintic = space.key_from_anf(anf_from_string(QUINTIC_12_TERMS, 8).coeffs)
+        rng = random.Random(568)
+        keys = [quintic] + [rng.getrandbits(84) for _ in range(20)]
+        assert sum(key >> 63 != 0 for key in keys) > 10
+        derived = derived_keys(space, keys)
+        assert derived.dtype == np.int64 and derived.shape == (21, 256)
+        for key, row in zip(keys, derived.tolist()):
+            assert row == per_direction_keys(space.function(key))
 
 
 class TestClassMap:
@@ -118,6 +193,27 @@ class TestSignatures:
     def test_separates_oracle_classes(self, oracle335, sub224):
         sigs = [j_signature(class_map(f, sub224)) for f in oracle335.rep_functions()]
         assert len(set(sigs)) == len(sigs) == 3
+
+    def test_batched_histograms_equal_counter(self, sub123):
+        # the batch signatures against a per-map Counter histogram
+        from collections import Counter
+
+        from rmcover.invariant import j_hat_signatures, j_signatures
+
+        rng = random.Random(5)
+        space = quotient_space(2, 3, 4)
+        keys = [rng.randrange(1 << space.dim) for _ in range(300)]
+        maps = class_maps(space, keys, sub123)
+        for kind, sigs, transform in (
+            ("J", j_signatures(maps, sub123.digest), list),
+            ("Jhat", j_hat_signatures(maps, sub123.digest), lambda r: wht(r).tolist()),
+        ):
+            assert len(sigs) == len(keys)
+            for row, sig in zip(maps.tolist(), sigs):
+                assert sig.kind == kind
+                assert sig.pairs == tuple(sorted(Counter(transform(row)).items()))
+                assert sig.classification_digest == sub123.digest
+        assert j_hat_signatures(maps[:0], sub123.digest) == []
 
     def test_fourier_constant(self):
         cm = ClassMap(3, (4,) * 8, "d" * 16)
