@@ -41,9 +41,7 @@ from .quotient import (
     action_matrix,
     apply_key,
     byte_tables,
-    compose_decomposition,
     multiply_affine_form,
-    q_apply_affine,
     quotient_space,
 )
 
@@ -307,12 +305,12 @@ class CoverSet:
     size: int
     entries: Iterable[tuple[int, int]]
 
-    def assembled(self, sub: Classification) -> Iterable[QuotientFunction]:
-        h_space = quotient_space(self.s, self.t, self.m - 1)
+    def assembled(self, sub: Classification) -> Iterable[int]:
+        """Window keys of the entries: x_m * g + h is the key join of
+        ``compose_decomposition``, h | g << dim(h)."""
+        shift = quotient_space(self.s, self.t, self.m - 1).dim
         for g_idx, h_key in self.entries:
-            yield compose_decomposition(
-                sub.rep_function(g_idx), h_space.function(h_key)
-            )
+            yield h_key | sub.reps[g_idx] << shift
 
 
 def _check_sub(s: int, t: int, m: int, sub: Classification) -> None:
@@ -564,7 +562,7 @@ def classify_pipeline(
     initial_size = initial_cover_set(s, t, m, sub).size
     cover = reduce_cover_set(s, t, m, sub, inner_guard=inner_guard)
 
-    keys = [f.key for f in cover.assembled(sub)]
+    keys = list(cover.assembled(sub))
     buckets: dict = {}
     for key, sig in zip(keys, j_hat_signatures(class_maps(space, keys, sub), sub.digest)):
         buckets.setdefault(sig, []).append(key)

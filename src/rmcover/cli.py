@@ -27,15 +27,14 @@ from .classify import (
     write_text_atomic,
 )
 from .equivalence import DEFAULT_ITER_BUDGET, EQUIV, equivalent
-from .group import agl_generators
 from .invariant import class_maps, j_hat_signatures, j_signatures
 from .nonlinearity import (
     InconsistentTableError,
     InfeasibleError,
     RadiusTable,
+    _ScanWalk,
     bounds_propagate,
     exact_nonlinearity,
-    probe_batch,
     scan_representatives,
 )
 from .quotient import QuotientSpace, quotient_space
@@ -207,10 +206,11 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_nl_probe(args) -> int:
     fns = _read_functions(args.infile, args.m)
-    # one shared walk: each line is nl_probe on that function alone
-    results = probe_batch(
-        args.k, args.m, [f.tt for f in fns], args.iter, args.limit, Random(args.seed)
+    # the scan's chunked walk: each line is nl_probe on that function alone
+    walk = _ScanWalk(
+        args.k, args.m, [f.tt for f in fns], (None,), args.iter, args.limit, args.seed
     )
+    results = walk.results(jobs=1)
     lines = _report_header(args, args.seed)
     for i, r in enumerate(results):
         lines.append(

@@ -31,7 +31,7 @@ from .group import (
     matvec,
     random_affine,
 )
-from .invariant import class_map, j_hat_signature
+from .invariant import class_maps, j_hat_signatures
 from .quotient import QuotientFunction, delta_membership, q_apply_affine
 
 EQUIV = "Equiv"
@@ -218,17 +218,17 @@ def equivalent(
     n = 1 << m
 
     sub.ensure_classifiable()
-    cm_fp = class_map(fp, sub)
-    cm_f = class_map(f, sub)
-    if j_hat_signature(cm_f) != j_hat_signature(cm_fp):
+    maps = class_maps(f.space, [f.key, fp.key], sub)
+    sig_f, sig_fp = j_hat_signatures(maps, sub.digest)
+    if sig_f != sig_fp:
         return EquivalenceOutcome(NOT_EQUIV, None, 0, 0)
 
     sr = random_affine(m, rng)
     fr = q_apply_affine(f, sr)
     # the derivative of f o sr along v is the derivative of f along A v,
     # composed with sr, so the class map of fr is read off that of f
-    fh_f = wht([cm_f.values[matvec(sr.rows, v)] for v in range(n)])
-    fh_fp = wht(cm_fp.values)
+    fh_f = wht(maps[0][[matvec(sr.rows, v) for v in range(n)]])
+    fh_fp = wht(maps[1])
 
     # Candidate images are tried in a per-level shuffled order.  When the
     # transform values barely constrain the search (near-flat spectra), a

@@ -10,7 +10,7 @@ upper-bound the nonlinearity and accumulate non-existence evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
 from typing import Optional, Sequence
@@ -85,7 +85,6 @@ class ProbeResult:
     found: bool
     best_weight: int
     passes_used: int
-    seed: Optional[int] = None
 
 
 def nl_probe(
@@ -527,13 +526,9 @@ def scan_representatives(
 
     Partitions the representatives into those with an exhibited coset member
     of weight at most ``limit`` and those where the budget found none.  All
-    functions of the scan ride one matrix walk seeded by ``seed``.  They are
-    cut into near-equal chunks of at most ``_CHUNK_BITS`` packed bits, and
-    into at least ``jobs`` chunks while there are that many functions; each
-    chunk is probed by ``probe_batch`` under a fresh ``Random(seed)``.  A
-    function's result depends only on the walk up to its first hit, so every
-    entry equals ``nl_probe`` on it alone under ``Random(seed)``, whatever
-    the chunking or the number of jobs.
+    functions of the scan ride one matrix walk seeded by ``seed`` (see
+    ``_ScanWalk.results``), so every entry equals ``nl_probe`` on it alone
+    under ``Random(seed)``, whatever the chunking or the number of jobs.
     """
     m = reps.space.m
     walk = _ScanWalk(
@@ -545,17 +540,7 @@ def scan_representatives(
         limit,
         seed,
     )
-    n = len(walk)
-    pieces = max(-(-n // max(1, _CHUNK_BITS // _block_bits(m))), min(jobs, n))
-    chunks = [range(i * n // pieces, (i + 1) * n // pieces) for i in range(pieces)]
-    if jobs > 1 and len(chunks) > 1:
-        from .parallel import probe_batch_parallel
-
-        results = probe_batch_parallel(walk, chunks, jobs)
-    else:
-        results = map(walk.probe, chunks)
-    flat = (r for batch in results for r in batch)
-    entries = [ScanEntry(*walk.origin(j), r) for j, r in enumerate(flat)]
+    entries = [ScanEntry(*walk.origin(j), r) for j, r in enumerate(walk.results(jobs))]
     return ScanReport(k, limit, entries)
 
 
@@ -588,5 +573,24 @@ class _ScanWalk:
         for j in chunk:
             idx, shift = self.origin(j)
             tts.append(self.lifts[idx] if shift is None else self.lifts[idx] ^ (1 << shift))
-        batch = probe_batch(self.k, self.m, tts, self.iter_budget, self.limit, Random(self.seed))
-        return [replace(r, seed=self.seed) for r in batch]
+        return probe_batch(self.k, self.m, tts, self.iter_budget, self.limit, Random(self.seed))
+
+    def results(self, jobs: int) -> list[ProbeResult]:
+        """The result of every function, in order, probed chunk by chunk.
+
+        The functions are cut into near-equal chunks of at most
+        ``_CHUNK_BITS`` packed bits, and into at least ``jobs`` chunks while
+        there are that many functions; each chunk is probed under a fresh
+        ``Random(seed)``.  A function's result depends only on the walk up
+        to its first hit, so it does not depend on the chunking.
+        """
+        n = len(self)
+        pieces = max(-(-n // max(1, _CHUNK_BITS // _block_bits(self.m))), min(jobs, n))
+        chunks = [range(i * n // pieces, (i + 1) * n // pieces) for i in range(pieces)]
+        if jobs > 1 and len(chunks) > 1:
+            from .parallel import probe_batch_parallel
+
+            batches = probe_batch_parallel(self, chunks, jobs)
+        else:
+            batches = map(self.probe, chunks)
+        return [r for batch in batches for r in batch]

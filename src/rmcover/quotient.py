@@ -166,26 +166,21 @@ class Decomposition:
 
 
 def decompose(qf: QuotientFunction) -> Decomposition:
-    """Split off the last variable: monomials containing x_m feed g."""
+    """Split off the last variable: monomials containing x_m feed g.
+
+    Keys list monomials in ascending mask order, so the masks without x_m
+    come first, and they are the (s, t, m-1) window of h in its own order;
+    the masks with x_m follow as x_m times the masks of the g window, again
+    in that window's order.  The split is therefore a bit split of the key:
+    key(f) = key(h) | key(g) << dim(h).
+    """
     if qf.m < 2:
         raise ValueError("need at least two variables to decompose")
-    top = 1 << (qf.m - 1)
     g_space = quotient_space(qf.s - 1, qf.t - 1, qf.m - 1)
     h_space = quotient_space(qf.s, qf.t, qf.m - 1)
-    g_anf = 0
-    h_anf = 0
-    anf = qf.anf
-    while anf:
-        low = anf & -anf
-        mask = low.bit_length() - 1
-        if mask & top:
-            g_anf |= 1 << (mask ^ top)
-        else:
-            h_anf |= 1 << mask
-        anf ^= low
     return Decomposition(
-        g_space.function(g_space.key_from_anf(g_anf)),
-        h_space.function(h_space.key_from_anf(h_anf)),
+        g_space.function(qf.key >> h_space.dim),
+        h_space.function(qf.key & ((1 << h_space.dim) - 1)),
     )
 
 
@@ -193,16 +188,7 @@ def compose_decomposition(g: QuotientFunction, h: QuotientFunction) -> QuotientF
     """Inverse of decompose: x_m * g + h in the (s, t, m) window."""
     if g.m != h.m or (g.s, g.t) != (max(h.s - 1, 0), h.t - 1):
         raise ValueError("incompatible decomposition parameters")
-    m = h.m + 1
-    top = 1 << (m - 1)
-    space = quotient_space(h.s, h.t, m)
-    anf = h.anf
-    g_anf = g.anf
-    while g_anf:
-        low = g_anf & -g_anf
-        anf |= 1 << ((low.bit_length() - 1) | top)
-        g_anf ^= low
-    return space.function(space.key_from_anf(anf))
+    return quotient_space(h.s, h.t, h.m + 1).function(h.key | g.key << h.space.dim)
 
 
 def multiply_affine_form(alpha_anf: int, qf: QuotientFunction, s: int, t: int) -> QuotientFunction:

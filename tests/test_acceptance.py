@@ -88,9 +88,9 @@ class TestAcceptance:
         init = initial_cover_set(2, 3, 4, sub)
         red = reduce_cover_set(2, 3, 4, sub)
         hit_init = {
-            int(oracle.lookup[f.key]) for f in initial_cover_set(2, 3, 4, sub).assembled(sub)
+            int(oracle.lookup[k]) for k in initial_cover_set(2, 3, 4, sub).assembled(sub)
         }
-        hit_red = {int(oracle.lookup[f.key]) for f in red.assembled(sub)}
+        hit_red = {int(oracle.lookup[k]) for k in red.assembled(sub)}
         all_classes = set(range(oracle.n_classes))
         ok = hit_init == all_classes and hit_red == all_classes and red.size <= init.size
         report(

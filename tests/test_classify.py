@@ -242,17 +242,30 @@ class TestCoverSets:
 
     def test_initial_cover_property(self, sub123, oracle234):
         hit = {
-            int(oracle234.lookup[f.key])
-            for f in initial_cover_set(2, 3, 4, sub123).assembled(sub123)
+            int(oracle234.lookup[k])
+            for k in initial_cover_set(2, 3, 4, sub123).assembled(sub123)
         }
         assert hit == set(range(oracle234.n_classes))
 
     def test_reduced_cover_property(self, sub123, oracle234):
         red = reduce_cover_set(2, 3, 4, sub123)
-        keys = [f.key for f in red.assembled(sub123)]
+        keys = list(red.assembled(sub123))
         assert len(keys) == red.size <= initial_cover_set(2, 3, 4, sub123).size
         hit = {int(oracle234.lookup[k]) for k in keys}
         assert hit == set(range(oracle234.n_classes))
+
+    def test_assembled_keys_of_the_m6_covers(self, oracle235):
+        # digests of the keys the ANF-loop recomposition gave for the two
+        # 131-entry covers of the pipeline windows of m = 6
+        from rmcover.classify import classification_digest
+
+        for params, sub, digest in (
+            ((2, 3, 6), orbit_enumerate(1, 2, 5), "2c76c4ba918379bd"),
+            ((3, 4, 6), oracle235, "41fa49990b63ad99"),
+        ):
+            keys = list(reduce_cover_set(*params, sub).assembled(sub))
+            assert len(keys) == 131
+            assert classification_digest(quotient_space(*params), keys) == digest
 
     def test_reduction_degenerates_for_zero(self, sub123):
         red = reduce_cover_set(2, 3, 4, sub123)
@@ -267,7 +280,7 @@ class TestCoverSets:
             initial_cover_set(2, 2, 3, sub112),
             reduce_cover_set(2, 2, 3, sub112),
         ):
-            hit = {int(oracle223.lookup[f.key]) for f in cover.assembled(sub112)}
+            hit = {int(oracle223.lookup[k]) for k in cover.assembled(sub112)}
             assert hit == set(range(oracle223.n_classes))
 
         sub012 = orbit_enumerate(0, 1, 2)
@@ -276,7 +289,7 @@ class TestCoverSets:
             initial_cover_set(1, 2, 3, sub012),
             reduce_cover_set(1, 2, 3, sub012),
         ):
-            hit = {int(oracle123.lookup[f.key]) for f in cover.assembled(sub012)}
+            hit = {int(oracle123.lookup[k]) for k in cover.assembled(sub012)}
             assert hit == set(range(oracle123.n_classes))
 
     def test_stabilizer_moves_stay_in_orbit(self, sub123, oracle234):

@@ -118,6 +118,35 @@ class TestCli:
                 f"passes {r.passes_used} seed 3"
             )
 
+    def test_nl_probe_report_does_not_depend_on_chunking(self, tmp_path, capsys, monkeypatch):
+        from rmcover import nonlinearity
+
+        # the pass of each first hit depends on the walk's seed
+        fns = tmp_path / "fns.txt"
+        fns.write_text("abcd+ab+cd\nabce+bd\nabde+ce+a\nbcde+ab\n")
+        argv = [
+            "nl", "probe",
+            "--k", "2", "--m", "5",
+            "--limit", "2", "--iter", "64", "--seed", "3",
+            "--in", str(fns),
+        ]
+        whole = tmp_path / "whole.txt"
+        single = tmp_path / "single.txt"
+        assert run(argv + ["--out", str(whole)], capsys)[0] == 0
+        # one function per chunk, each probed by its own batch
+        sizes = []
+        probe_batch = nonlinearity.probe_batch
+
+        def counted(k, m, tts, *rest, **kw):
+            sizes.append(len(tts))
+            return probe_batch(k, m, tts, *rest, **kw)
+
+        monkeypatch.setattr(nonlinearity, "_CHUNK_BITS", 1)
+        monkeypatch.setattr(nonlinearity, "probe_batch", counted)
+        assert run(argv + ["--out", str(single)], capsys)[0] == 0
+        assert sizes == [1, 1, 1, 1]
+        assert single.read_bytes() == whole.read_bytes()
+
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_bad_jobs_flag_exits_2(self, tmp_path, capsys, jobs):
         reps = tmp_path / "reps.cls"

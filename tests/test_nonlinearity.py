@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -337,12 +336,11 @@ class TestScan:
     def _assert_entries_equal_alone(report, reps, k, m, iters, limit, seed):
         # every entry is nl_probe on its function alone under the scan's seed
         for e in report.entries:
-            assert e.result.seed == seed
             tt = reps.rep_function(e.index).lift().tt
             if e.shift is not None:
                 tt ^= 1 << e.shift
             alone = nl_probe(k, m, BooleanFunction(m, tt), iters, limit, random.Random(seed))
-            assert alone == replace(e.result, seed=None)
+            assert alone == e.result
 
     def test_dirac_entries_equal_serial_probes(self, oracle234):
         # one seed for the whole scan, plain or dirac: all functions ride one walk

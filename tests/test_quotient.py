@@ -123,6 +123,47 @@ class TestAction:
             assert direct == via_lift
 
 
+def decompose_reference(qf):
+    """(g key, h key) of f = x_m*g + h, monomial by monomial through the ANF."""
+    top = 1 << (qf.m - 1)
+    g_space = quotient_space(qf.s - 1, qf.t - 1, qf.m - 1)
+    h_space = quotient_space(qf.s, qf.t, qf.m - 1)
+    g_anf = 0
+    h_anf = 0
+    anf = qf.anf
+    while anf:
+        low = anf & -anf
+        mask = low.bit_length() - 1
+        if mask & top:
+            g_anf |= 1 << (mask ^ top)
+        else:
+            h_anf |= 1 << mask
+        anf ^= low
+    return g_space.key_from_anf(g_anf), h_space.key_from_anf(h_anf)
+
+
+def compose_reference(g, h):
+    """Key of x_m*g + h, monomial by monomial through the ANF."""
+    m = h.m + 1
+    top = 1 << (m - 1)
+    anf = h.anf
+    g_anf = g.anf
+    while g_anf:
+        low = g_anf & -g_anf
+        anf |= 1 << ((low.bit_length() - 1) | top)
+        g_anf ^= low
+    return quotient_space(h.s, h.t, m).key_from_anf(anf)
+
+
+# every window the suite enumerates or draws from, s = 0 and s = t included
+SUITE_WINDOWS = [
+    (0, 1, 2), (0, 1, 6), (1, 1, 2), (1, 2, 2), (1, 2, 3), (1, 2, 4), (1, 2, 5),
+    (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3), (2, 3, 4), (2, 3, 5), (2, 3, 6),
+    (3, 3, 3), (3, 3, 4), (3, 3, 5), (3, 3, 8), (3, 4, 6), (4, 3, 4), (5, 5, 7),
+    (5, 6, 8),
+]
+
+
 class TestDecomposition:
     def test_example(self):
         f = qf("abc+ab", 2, 3, 3)
@@ -143,11 +184,33 @@ class TestDecomposition:
                 d = decompose(f)
                 assert compose_decomposition(d.g, d.h) == f
 
+    @pytest.mark.parametrize("params", SUITE_WINDOWS)
+    def test_key_split_matches_reference(self, params):
+        # all keys of the small windows, 200 random keys of the others
+        space = quotient_space(*params)
+        if space.dim <= 10:
+            keys = range(1 << space.dim)
+        else:
+            rng = random.Random(space.dim)
+            keys = [rng.getrandbits(space.dim) for _ in range(200)]
+        for key in keys:
+            f = space.function(key)
+            d = decompose(f)
+            assert (d.g.key, d.h.key) == decompose_reference(f)
+            assert d.h.space.params == (space.s, space.t, space.m - 1)
+            assert d.g.space.params == (max(space.s - 1, 0), space.t - 1, space.m - 1)
+            assert compose_reference(d.g, d.h) == key
+            assert compose_decomposition(d.g, d.h) == f
+
     def test_parameter_mismatch(self):
         g = quotient_space(1, 2, 3).zero()
         h = quotient_space(3, 3, 3).zero()
         with pytest.raises(ValueError):
             compose_decomposition(g, h)
+
+    def test_needs_two_variables(self):
+        with pytest.raises(ValueError):
+            decompose(quotient_space(1, 1, 1).function(1))
 
 
 class TestDelta:
