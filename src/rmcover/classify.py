@@ -81,7 +81,7 @@ class Classification:
     provenance: str = ""
     generators: Optional[list[AffineTransformation]] = None
     digest: str = field(default="")
-    # classification of the next window down, used by class_of when this
+    # classification of the next window down, used by classes_of when this
     # window is too large for a complete lookup; never serialized
     fallback_sub: Optional["Classification"] = field(default=None, repr=False)
     # (digest of the lower window, Jhat signature of every representative)
@@ -101,41 +101,66 @@ class Classification:
     def rep_functions(self) -> list[QuotientFunction]:
         return [self.space.function(k) for k in self.reps]
 
-    def ensure_lookup(self, *, space_guard: int = DEFAULT_SPACE_GUARD) -> None:
+    def ensure_lookup(self) -> None:
         """Rebuild the complete orbit map by BFS if it is missing."""
         if self.lookup is not None:
             return
         gens = self.generators or agl_generators(self.space.m)
-        rebuilt = orbit_enumerate(
-            *self.space.params,
-            gens,
-            space_guard=space_guard,
-            stabilizers=False,
-        )
+        rebuilt = orbit_enumerate(*self.space.params, gens, stabilizers=False)
         if rebuilt.reps != self.reps:
             raise ValueError(
                 "stored representatives disagree with the BFS rebuild; "
                 "refusing to attach a lookup with a different numbering"
             )
+        if self.orbit_sizes not in (None, rebuilt.orbit_sizes):
+            raise ValueError("stored orbit sizes disagree with the BFS rebuild")
         self.lookup = rebuilt.lookup
-        if self.orbit_sizes is None:
-            self.orbit_sizes = rebuilt.orbit_sizes
+        self.orbit_sizes = rebuilt.orbit_sizes
 
-    def ensure_classifiable(self, *, space_guard: int = DEFAULT_SPACE_GUARD) -> None:
-        """Make class_of usable: attach a lookup, or validate the fallback chain.
+    def classes_of(self, keys) -> np.ndarray:
+        """Class numbers (int64) of an array of window keys, in its shape.
 
-        Windows beyond the enumeration guard are classifiable through
-        invariant bucketing plus equivalence against the stored
-        representatives, which needs a classifiable window one level down.
+        The complete lookup numbers the keys when present.  Without one, a
+        window with a ``fallback_sub`` decides each distinct key by the
+        search; any other window first attaches its lookup by BFS, which
+        raises SpaceTooLargeError past the guard.
         """
+        if self.lookup is None and self.fallback_sub is None:
+            self.ensure_lookup()
+        keys = np.asarray(keys)
         if self.lookup is not None:
-            return
-        try:
-            self.ensure_lookup(space_guard=space_guard)
-        except SpaceTooLargeError:
-            if self.fallback_sub is None:
-                raise
-            self.fallback_sub.ensure_classifiable(space_guard=space_guard)
+            return self.lookup[keys].astype(np.int64)
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        classes = np.array(
+            [self._search_class(k) for k in distinct.tolist()], dtype=np.int64
+        )
+        return classes[inverse].reshape(keys.shape)
+
+    def _search_class(self, key: int) -> int:
+        """Class of one key without a lookup: bucket it by the Walsh
+        distribution invariant over ``fallback_sub`` and confirm with the
+        equivalence search against the matching representatives."""
+        qf = self.space.function(key)
+        sub = self.fallback_sub
+        cached = self._rep_jhat
+        if cached is None or cached[0] != sub.digest:
+            cached = self._rep_jhat = (
+                sub.digest,
+                j_hat_signatures(class_maps(self.space, self.reps, sub), sub.digest),
+            )
+        sig = j_hat_signatures(class_maps(qf.space, [qf.key], sub), sub.digest)[0]
+        candidates = [k for k, rsig in zip(self.reps, cached[1]) if rsig == sig]
+        match, undecided, _, _ = _match(
+            qf, candidates, sub, DEFAULT_ITER_BUDGET, _CLASS_OF_SEED, DEFAULT_BUDGET_RETRIES
+        )
+        if match is not None:
+            return self.reps.index(match)
+        if undecided:
+            raise UndecidableError(
+                "budget exhausted against candidate classes "
+                f"{[self.reps.index(k) for k in undecided]}"
+            )
+        raise UndecidableError("no candidate class matched; classification incomplete?")
 
 
 # --- exact orbit enumeration ------------------------------------------------
@@ -464,44 +489,10 @@ def _match(fn, rep_keys, sub, iter_budget, seed, retries):
 
 
 def class_of(qf: QuotientFunction, classification: Classification) -> int:
-    """Orbit index of qf in the given classification.
-
-    Uses the complete lookup when present; otherwise buckets by the Walsh
-    distribution invariant over the attached ``fallback_sub`` and confirms
-    with the equivalence search.
-    """
+    """Orbit index of qf in the given classification (``classes_of``)."""
     if qf.space.params != classification.space.params:
         raise ValueError("space mismatch")
-    if classification.lookup is not None:
-        return int(classification.lookup[qf.key])
-
-    sub = classification.fallback_sub
-    if sub is None:
-        raise UndecidableError(
-            "classification has no lookup and no fallback_sub for "
-            "invariant bucketing"
-        )
-    cached = classification._rep_jhat
-    if cached is None or cached[0] != sub.digest:
-        cached = classification._rep_jhat = (
-            sub.digest,
-            j_hat_signatures(
-                class_maps(classification.space, classification.reps, sub), sub.digest
-            ),
-        )
-    sig = j_hat_signatures(class_maps(qf.space, [qf.key], sub), sub.digest)[0]
-    candidates = [k for k, rsig in zip(classification.reps, cached[1]) if rsig == sig]
-    match, undecided, _, _ = _match(
-        qf, candidates, sub, DEFAULT_ITER_BUDGET, _CLASS_OF_SEED, DEFAULT_BUDGET_RETRIES
-    )
-    if match is not None:
-        return classification.reps.index(match)
-    if undecided:
-        raise UndecidableError(
-            "budget exhausted against candidate classes "
-            f"{[classification.reps.index(k) for k in undecided]}"
-        )
-    raise UndecidableError("no candidate class matched; classification incomplete?")
+    return int(classification.classes_of([qf.key])[0])
 
 
 def _resolve_bucket(space, sub, keys, budget_iter, seed, retries):
@@ -556,13 +547,14 @@ def classify_pipeline(
     silently, it is surfaced as an unresolved pair in the report.
     """
     _check_sub(s, t, m, sub)
-    sub.ensure_classifiable()
 
     space = quotient_space(s, t, m)
     initial_size = initial_cover_set(s, t, m, sub).size
     cover = reduce_cover_set(s, t, m, sub, inner_guard=inner_guard)
 
     keys = list(cover.assembled(sub))
+    # numbering the derived keys attaches sub's lookup here, before a pool
+    # pickles sub, so workers never rebuild it
     buckets: dict = {}
     for key, sig in zip(keys, j_hat_signatures(class_maps(space, keys, sub), sub.digest)):
         buckets.setdefault(sig, []).append(key)
@@ -701,6 +693,8 @@ def load_classification(path: str) -> Classification:
                     if coeffs & ~space.support:
                         raise ValueError("monomials outside the space window")
                     reps.append(space.key_from_anf(coeffs))
+                    if size != "-" and (int(size) < 1 or agl_order(m) % int(size)):
+                        raise ValueError(f"orbit size {size} does not divide |AGL({m},2)|")
                     sizes.append(None if size == "-" else int(size))
                 elif line.startswith("S "):
                     _, idx_text, enc = line.split(None, 2)
@@ -725,7 +719,11 @@ def load_classification(path: str) -> Classification:
             f"{path}: digest mismatch (file says {declared_digest}, "
             f"content hashes to {digest})"
         )
-    orbit_sizes = None if any(x is None for x in sizes) else [int(x) for x in sizes]
+    orbit_sizes = None if None in sizes else sizes
+    if orbit_sizes is not None and sum(orbit_sizes) != 1 << space.dim:
+        raise ValueError(
+            f"{path}: orbit sizes sum to {sum(orbit_sizes)}, not 2^{space.dim}"
+        )
     stab_lists = None
     if stab:
         stab_lists = [stab.get(i) for i in range(len(reps))]

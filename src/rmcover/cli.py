@@ -72,7 +72,9 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_functions(path: str, m: int) -> list[bf.BooleanFunction]:
+def _read_functions(path: str, m: int, convert=lambda f: f) -> list:
+    """convert(f) of each function line of the file; a line that fails to
+    parse or to convert is reported as path:line."""
     out = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -80,7 +82,7 @@ def _read_functions(path: str, m: int) -> list[bf.BooleanFunction]:
             if not line or line.startswith("#"):
                 continue
             try:
-                out.append(bf.parse_function(line, m))
+                out.append(convert(bf.parse_function(line, m)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
@@ -168,14 +170,12 @@ def _cmd_classify(args) -> int:
 def _cmd_invariant(args) -> int:
     s, t, m = args.space
     sub = load_classification(args.sub)
-    sub.ensure_lookup()
     space = quotient_space(s, t, m)
     lines = _report_header(args)
     lines.append(f"# classification {sub.digest}")
-    keys = [
-        _window_function(space, f, "input function").key
-        for f in _read_functions(args.infile, m)
-    ]
+    keys = _read_functions(
+        args.infile, m, lambda f: _window_function(space, f, "input function").key
+    )
     maps = class_maps(space, keys, sub)
     for sj, sh in zip(j_signatures(maps, sub.digest), j_hat_signatures(maps, sub.digest)):
         pairs = ",".join(f"{v}:{c}" for v, c in sj.pairs)
@@ -325,7 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sub", required=True, help="classification file of the lower window")
     pr.add_argument("--out", required=True)
     pr.add_argument("--report", default=None)
-    pr.add_argument("--budget-iter", type=int, default=DEFAULT_ITER_BUDGET)
+    pr.add_argument(
+        "--budget-iter",
+        type=_positive_int("the search budget per pair"),
+        default=DEFAULT_ITER_BUDGET,
+    )
     pr.add_argument(
         "--budget-retries",
         type=_positive_int("the number of searches per pair"),
@@ -347,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sub", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--iter", type=int, default=DEFAULT_ITER_BUDGET)
+    p.add_argument(
+        "--iter", type=_positive_int("the search budget"), default=DEFAULT_ITER_BUDGET
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_equiv)
@@ -358,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--k", type=int, required=True)
     pp.add_argument("--m", type=int, required=True)
     pp.add_argument("--limit", type=int, required=True)
-    pp.add_argument("--iter", type=int, default=1 << 16)
+    pp.add_argument("--iter", type=_positive_int("the number of passes"), default=1 << 16)
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--in", dest="infile", required=True)
     pp.add_argument("--out", default=None)
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--limit", type=int, required=True)
     ps.add_argument("--reps", required=True)
-    ps.add_argument("--iter", type=int, default=1 << 16)
+    ps.add_argument("--iter", type=_positive_int("the number of passes"), default=1 << 16)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--dirac", action="store_true", help="scan all dirac translates")
     _add_jobs_argument(ps)

@@ -217,7 +217,6 @@ def equivalent(
     m = f.m
     n = 1 << m
 
-    sub.ensure_classifiable()
     maps = class_maps(f.space, [f.key, fp.key], sub)
     sig_f, sig_fp = j_hat_signatures(maps, sub.digest)
     if sig_f != sig_fp:

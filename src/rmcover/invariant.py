@@ -109,9 +109,9 @@ def derived_keys(space: QuotientSpace, keys: Sequence[int]) -> np.ndarray:
 def class_maps(space: QuotientSpace, keys: Sequence[int], sub) -> np.ndarray:
     """Class maps of a batch of window keys: row i holds that of keys[i].
 
-    ``sub`` must classify the (s-1, t-1, m-1) window.  A sub with a lookup
-    numbers the derived keys directly; otherwise each distinct derived key
-    is resolved by ``class_of``.  The zero direction maps to the class of
+    ``sub`` must classify the (s-1, t-1, m-1) window; it numbers the derived
+    keys itself (``Classification.classes_of``), by its lookup or, without
+    one, by its fallback search.  The zero direction maps to the class of
     the zero function.
     """
     expect = (max(space.s - 1, 0), space.t - 1, space.m - 1)
@@ -119,18 +119,7 @@ def class_maps(space: QuotientSpace, keys: Sequence[int], sub) -> np.ndarray:
         raise ValueError(
             f"classification covers {sub.space.params}, class map needs {expect}"
         )
-    derived = derived_keys(space, keys)
-    if sub.lookup is not None:
-        return sub.lookup[derived].astype(np.int64)
-
-    from .classify import class_of
-
-    distinct, inverse = np.unique(derived, return_inverse=True)
-    classes = np.array(
-        [class_of(sub.space.function(k), sub) for k in distinct.tolist()],
-        dtype=np.int64,
-    )
-    return classes[inverse].reshape(derived.shape)
+    return sub.classes_of(derived_keys(space, keys))
 
 
 def class_map(f: QuotientFunction, sub) -> ClassMap:

@@ -30,8 +30,10 @@ def _pool_map(fn, tasks, jobs):
 def resolve_buckets_parallel(resolve, tasks, jobs):
     """Merge invariant buckets across a pool, in order.
 
-    ``resolve`` maps one bucket's keys to its merge result; the lower-window
-    classification it carries must already be classifiable.
+    ``resolve`` maps one bucket's keys to its merge result.  The lower-window
+    classification it carries attached its lookup (or cached its fallback
+    signatures) while the parent bucketed the cover, so it reaches the
+    workers with it and they never rebuild it.
     """
     return _pool_map(resolve, tasks, jobs)
 

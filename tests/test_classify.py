@@ -8,7 +8,6 @@ from rmcover import (
     AffineTransformation,
     Classification,
     SpaceTooLargeError,
-    UndecidableError,
     agl_order,
     class_of,
     classify_pipeline,
@@ -24,6 +23,7 @@ from rmcover import (
     save_classification,
 )
 from rmcover.group import _StabilizerChain
+from rmcover.invariant import class_maps
 
 
 def orbit_minima_reference(s, t, m, sub):
@@ -434,11 +434,16 @@ class TestClassOf:
                 assert class_of(moved, blind) == i
 
     def test_fallback_requires_sub(self, oracle234):
+        # without a lookup or a fallback_sub the window attaches its lookup
+        # by BFS; one too large for that refuses
         import copy
 
         blind = copy.copy(oracle234)
         blind.lookup = None
-        with pytest.raises(UndecidableError):
+        blind.ensure_lookup = lambda **kw: (_ for _ in ()).throw(
+            SpaceTooLargeError("simulated oversize window")
+        )
+        with pytest.raises(SpaceTooLargeError):
             class_of(oracle234.rep_function(0), blind)
 
 
@@ -527,6 +532,23 @@ class TestFiles:
         loaded.ensure_lookup()
         assert (loaded.lookup == oracle223.lookup).all()
 
+    def test_loaded_file_needs_no_preparation(self, sub123, oracle234, tmp_path):
+        # a loaded file numbers keys itself, attaching its lookup on first use
+        path = tmp_path / "b123.cls"
+        save_classification(sub123, str(path))
+        loaded = load_classification(str(path))
+        assert loaded.lookup is None
+        rng = random.Random(123)
+        for i in range(sub123.n_classes):
+            moved = q_apply_affine(sub123.rep_function(i), random_affine(3, rng))
+            assert class_of(moved, loaded) == i
+        loaded = load_classification(str(path))
+        keys = oracle234.reps + [rng.randrange(1 << oracle234.space.dim) for _ in range(20)]
+        assert (
+            class_maps(oracle234.space, keys, loaded).tolist()
+            == class_maps(oracle234.space, keys, sub123).tolist()
+        )
+
     def test_failed_write_keeps_previous_file(self, oracle223, oracle234, tmp_path, request):
         path = tmp_path / "c.cls"
         save_classification(oracle223, str(path))
@@ -565,6 +587,42 @@ class TestFiles:
         path.write_text("#%space 1 2 3\nR 0 1 0\nR 1 7 abc+a\n")
         with pytest.raises(ValueError, match="c.cls:3:"):
             load_classification(str(path))
+
+    @pytest.mark.parametrize("size", ["999", "0", "-7", "x"])
+    def test_orbit_size_not_dividing_the_group_refused(self, sub123, tmp_path, size):
+        path = tmp_path / "c.cls"
+        save_classification(sub123, str(path))
+        lines = path.read_text().splitlines()
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith("R 1 "))
+        lines[lineno - 1] = " ".join(["R", "1", size, lines[lineno - 1].split()[3]])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"c.cls:{lineno}:"):
+            load_classification(str(path))
+
+    def test_orbit_sizes_not_summing_to_the_window_refused(self, sub123, tmp_path):
+        # 2 divides |AGL(3,2)|, but the sizes then sum to 65, not 2^6
+        path = tmp_path / "c.cls"
+        save_classification(sub123, str(path))
+        text = path.read_text()
+        assert "R 0 1 0\n" in text
+        path.write_text(text.replace("R 0 1 0\n", "R 0 2 0\n"))
+        with pytest.raises(ValueError, match="sum to 65"):
+            load_classification(str(path))
+        # without every size there is no sum to check
+        path.write_text(text.replace("R 0 1 0\n", "R 0 - 0\n"))
+        assert load_classification(str(path)).orbit_sizes is None
+
+    def test_ensure_lookup_refuses_foreign_orbit_sizes(self, oracle234):
+        import copy
+
+        swapped = copy.copy(oracle234)
+        swapped.lookup = None
+        swapped.orbit_sizes = oracle234.orbit_sizes[:]
+        swapped.orbit_sizes[1:3] = swapped.orbit_sizes[2:0:-1]
+        assert sum(swapped.orbit_sizes) == 1 << oracle234.space.dim
+        with pytest.raises(ValueError, match="orbit sizes"):
+            swapped.ensure_lookup()
+        assert swapped.lookup is None
 
     def test_ensure_lookup_refuses_foreign_numbering(self, oracle223, tmp_path):
         import copy

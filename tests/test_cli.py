@@ -97,13 +97,15 @@ class TestCli:
     def test_nl_probe_shares_one_walk(self, tmp_path, capsys):
         from rmcover import nl_probe, parse_function
 
+        # the pass of each first hit depends on the walk's seed (passes 4, 1,
+        # 4, 2 under seed 3), so a line probed under another seed shows
         fns = tmp_path / "fns.txt"
-        fns.write_text("ab+cd\nabc\nab+cd+a\nabcd\n")
+        fns.write_text("abcd+ab+cd\nabce+bd\nabde+ce+a\nbcde+ab\n")
         code, out, _ = run(
             [
                 "nl", "probe",
-                "--k", "1", "--m", "4",
-                "--limit", "5", "--iter", "64", "--seed", "3",
+                "--k", "2", "--m", "5",
+                "--limit", "2", "--iter", "64", "--seed", "3",
                 "--in", str(fns),
             ],
             capsys,
@@ -112,7 +114,7 @@ class TestCli:
         lines = [line for line in out.splitlines() if line.startswith("fn ")]
         assert len(lines) == 4
         for i, (line, text) in enumerate(zip(lines, fns.read_text().split())):
-            r = nl_probe(1, 4, parse_function(text, 4), 64, 5, Random(3))
+            r = nl_probe(2, 5, parse_function(text, 5), 64, 2, Random(3))
             assert line == (
                 f"fn {i} found {str(r.found).lower()} best {r.best_weight} "
                 f"passes {r.passes_used} seed 3"
@@ -171,6 +173,27 @@ class TestCli:
         assert code == 2 and out == ""
         assert "--budget-retries" in err and "positive integer" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b123.cls"]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_bad_iteration_counts_exit_2(self, tmp_path, capsys, value):
+        sub = tmp_path / "b123.cls"
+        run(["oracle", "--s", "1", "--t", "2", "--m", "3", "--out", str(sub)], capsys)
+        fns = tmp_path / "fns.txt"
+        fns.write_text("ab+cd\n")
+        out_args = ["--out", str(tmp_path / "x.out")]
+        for option, argv in (
+            ("--iter", ["nl", "probe", "--k", "1", "--m", "4", "--limit", "6",
+                        "--in", str(fns)]),
+            ("--iter", ["nl", "scan", "--k", "1", "--limit", "2", "--reps", str(sub)]),
+            ("--iter", ["equiv", "--space", "2,3,4", "--sub", str(sub),
+                        "--f", "abc", "--g", "abd+acd"]),
+            ("--budget-iter", ["classify", "run", "--s", "2", "--t", "3", "--m", "4",
+                               "--sub", str(sub), "--report", str(tmp_path / "x.report")]),
+        ):
+            code, out, err = run(argv + out_args + [option, value], capsys)
+            assert code == 2 and out == ""
+            assert option in err and "positive integer" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b123.cls", "fns.txt"]
 
     def test_bad_jobs_environment_exits_2(self, tmp_path, capsys, monkeypatch):
         reps = tmp_path / "reps.cls"
@@ -297,6 +320,17 @@ class TestCli:
             capsys,
         )
         assert code == 2 and "outside the window" in err and out == ""
+
+    def test_invariant_input_errors_name_the_line(self, tmp_path, capsys):
+        sub = tmp_path / "sub.cls"
+        run(["oracle", "--s", "1", "--t", "2", "--m", "3", "--out", str(sub)], capsys)
+        fns = tmp_path / "fns.txt"
+        argv = ["invariant", "--space", "2,3,4", "--sub", str(sub), "--in", str(fns)]
+        for bad in ("zz!", "ab+c"):  # a parse error, then a function outside the window
+            fns.write_text(f"abc\n{bad}\n")
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {fns}:2: ")
 
     def test_unknown_subcommand(self, capsys):
         code = main(["frobnicate"])
