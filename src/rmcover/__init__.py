@@ -26,7 +26,6 @@ from .classify import (
     Classification,
     CoverSet,
     SpaceTooLargeError,
-    UndecidableError,
     class_of,
     classify_pipeline,
     initial_cover_set,

@@ -41,6 +41,7 @@ from .quotient import (
     action_matrix,
     apply_key,
     byte_tables,
+    lower_window,
     multiply_affine_form,
     quotient_space,
 )
@@ -51,10 +52,6 @@ DEFAULT_INNER_GUARD = 1 << 24
 
 class SpaceTooLargeError(RuntimeError):
     """The requested enumeration exceeds the configured guard."""
-
-
-class UndecidableError(RuntimeError):
-    """A class lookup could not be decided within the given budget."""
 
 
 def classification_digest(space: QuotientSpace, reps: Sequence[int]) -> str:
@@ -81,11 +78,6 @@ class Classification:
     provenance: str = ""
     generators: Optional[list[AffineTransformation]] = None
     digest: str = field(default="")
-    # classification of the next window down, used by classes_of when this
-    # window is too large for a complete lookup; never serialized
-    fallback_sub: Optional["Classification"] = field(default=None, repr=False)
-    # (digest of the lower window, Jhat signature of every representative)
-    _rep_jhat: Optional[tuple[str, list]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.digest:
@@ -120,47 +112,12 @@ class Classification:
     def classes_of(self, keys) -> np.ndarray:
         """Class numbers (int64) of an array of window keys, in its shape.
 
-        The complete lookup numbers the keys when present.  Without one, a
-        window with a ``fallback_sub`` decides each distinct key by the
-        search; any other window first attaches its lookup by BFS, which
-        raises SpaceTooLargeError past the guard.
+        The complete lookup numbers the keys.  A classification without one
+        attaches it by BFS on first use, which raises SpaceTooLargeError
+        past the guard.
         """
-        if self.lookup is None and self.fallback_sub is None:
-            self.ensure_lookup()
-        keys = np.asarray(keys)
-        if self.lookup is not None:
-            return self.lookup[keys].astype(np.int64)
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        classes = np.array(
-            [self._search_class(k) for k in distinct.tolist()], dtype=np.int64
-        )
-        return classes[inverse].reshape(keys.shape)
-
-    def _search_class(self, key: int) -> int:
-        """Class of one key without a lookup: bucket it by the Walsh
-        distribution invariant over ``fallback_sub`` and confirm with the
-        equivalence search against the matching representatives."""
-        qf = self.space.function(key)
-        sub = self.fallback_sub
-        cached = self._rep_jhat
-        if cached is None or cached[0] != sub.digest:
-            cached = self._rep_jhat = (
-                sub.digest,
-                j_hat_signatures(class_maps(self.space, self.reps, sub), sub.digest),
-            )
-        sig = j_hat_signatures(class_maps(qf.space, [qf.key], sub), sub.digest)[0]
-        candidates = [k for k, rsig in zip(self.reps, cached[1]) if rsig == sig]
-        match, undecided, _, _ = _match(
-            qf, candidates, sub, DEFAULT_ITER_BUDGET, _CLASS_OF_SEED, DEFAULT_BUDGET_RETRIES
-        )
-        if match is not None:
-            return self.reps.index(match)
-        if undecided:
-            raise UndecidableError(
-                "budget exhausted against candidate classes "
-                f"{[self.reps.index(k) for k in undecided]}"
-            )
-        raise UndecidableError("no candidate class matched; classification incomplete?")
+        self.ensure_lookup()
+        return self.lookup[np.asarray(keys)].astype(np.int64)
 
 
 # --- exact orbit enumeration ------------------------------------------------
@@ -339,7 +296,7 @@ class CoverSet:
 
 
 def _check_sub(s: int, t: int, m: int, sub: Classification) -> None:
-    expect = (max(s - 1, 0), t - 1, m - 1)
+    expect = lower_window(s, t, m)
     if tuple(sub.space.params) != expect:
         raise ValueError(
             f"sub-classification covers {sub.space.params}, expected {expect}"
@@ -367,14 +324,7 @@ def initial_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
     return CoverSet(s, t, m, size, _ProductEntries(sub.n_classes, 1 << h_space.dim))
 
 
-def reduce_cover_set(
-    s: int,
-    t: int,
-    m: int,
-    sub: Classification,
-    *,
-    inner_guard: int = DEFAULT_INNER_GUARD,
-) -> CoverSet:
+def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
     """Cover set reduced by the stabilizer action on the h part.
 
     For each g, the h window V is partitioned under the group generated by
@@ -390,9 +340,9 @@ def reduce_cover_set(
     if sub.stabilizer_gens is None:
         raise ValueError("sub-classification carries no stabilizer generators")
     h_space = quotient_space(s, t, m - 1)
-    if 1 << h_space.dim > inner_guard:
+    if 1 << h_space.dim > DEFAULT_INNER_GUARD:
         raise SpaceTooLargeError(
-            f"h window has 2^{h_space.dim} elements, guard allows {inner_guard}"
+            f"h window has 2^{h_space.dim} elements, guard allows {DEFAULT_INNER_GUARD}"
         )
 
     entries: list[tuple[int, int]] = []
@@ -448,44 +398,11 @@ def reduce_cover_set(
 DEFAULT_BUDGET_RETRIES = 3
 
 _RESEED = 0x9E3779B9  # additive reseed step for fresh search randomization
-_CLASS_OF_SEED = 0xD82C07CD  # base seed of class_of's searches: Random(0).getrandbits(32)
 
 
 def _pair_seed(seed: int, a: int, b: int) -> int:
     mix = hashlib.sha256(f"{seed}|{a:x}|{b:x}".encode()).digest()
     return int.from_bytes(mix[:8], "big")
-
-
-def _match(fn, rep_keys, sub, iter_budget, seed, retries):
-    """The first representative in rep_keys equivalent to fn, by the search.
-
-    Each pair is searched under its own seed from _pair_seed; while the
-    verdict is Undefined the search is re-run with a fresh seed, up to
-    ``retries`` runs in all.  Re-randomizing re-orders the candidate tree
-    without changing the set of candidates, so it can only turn Undefined
-    into a decided verdict.  Returns (matching key or None, keys left
-    Undefined, calls, undefined outcomes).
-    """
-    undecided: list[int] = []
-    calls = 0
-    undefined = 0
-    for rkey in rep_keys:
-        rep_fn = fn.space.function(rkey)
-        pair_seed = _pair_seed(seed, rkey, fn.key)
-        for attempt in range(max(1, retries)):
-            verdict = equivalent(
-                rep_fn, fn, sub, iter_budget=iter_budget,
-                rng=Random(pair_seed + attempt * _RESEED),
-            ).verdict
-            calls += 1
-            if verdict != UNDEFINED:
-                break
-            undefined += 1
-        if verdict == EQUIV:
-            return rkey, undecided, calls, undefined
-        if verdict == UNDEFINED:
-            undecided.append(rkey)
-    return None, undecided, calls, undefined
 
 
 def class_of(qf: QuotientFunction, classification: Classification) -> int:
@@ -496,20 +413,43 @@ def class_of(qf: QuotientFunction, classification: Classification) -> int:
 
 
 def _resolve_bucket(space, sub, keys, budget_iter, seed, retries):
-    """Merge one invariant bucket; returns (reps, unresolved, calls, undefined)."""
+    """Merge one invariant bucket; returns (reps, unresolved, calls, undefined).
+
+    Keys are taken in increasing order, and each is searched against the
+    representatives kept so far until one is equivalent.  Each pair is
+    searched under its own seed from _pair_seed; while the verdict is
+    Undefined the search is re-run with a fresh seed, up to ``retries`` runs
+    in all.  Re-randomizing re-orders the candidate tree without changing
+    the set of candidates, so it can only turn Undefined into a decided
+    verdict.  A key that matches no representative becomes one, and each
+    representative it stayed Undefined against makes an unresolved pair.
+    """
     reps: list[int] = []
     unresolved: list[tuple[int, int]] = []
     calls = 0
     undefined = 0
     for key in sorted(keys):
-        match, ambiguous, ncalls, nundef = _match(
-            space.function(key), reps, sub, budget_iter, seed, retries
-        )
-        calls += ncalls
-        undefined += nundef
-        if match is None:
+        fn = space.function(key)
+        undecided: list[int] = []
+        for rkey in reps:
+            rep_fn = space.function(rkey)
+            pair_seed = _pair_seed(seed, rkey, key)
+            for attempt in range(max(1, retries)):
+                verdict = equivalent(
+                    rep_fn, fn, sub, iter_budget=budget_iter,
+                    rng=Random(pair_seed + attempt * _RESEED),
+                ).verdict
+                calls += 1
+                if verdict != UNDEFINED:
+                    break
+                undefined += 1
+            if verdict == EQUIV:
+                break
+            if verdict == UNDEFINED:
+                undecided.append(rkey)
+        else:
             reps.append(key)
-            unresolved.extend((rkey, key) for rkey in ambiguous)
+            unresolved.extend((rkey, key) for rkey in undecided)
     return reps, unresolved, calls, undefined
 
 
@@ -536,7 +476,6 @@ def classify_pipeline(
     budget_iter: int = DEFAULT_ITER_BUDGET,
     retries: int = DEFAULT_BUDGET_RETRIES,
     seed: int = 0,
-    inner_guard: int = DEFAULT_INNER_GUARD,
     jobs: int = 1,
 ) -> tuple[Classification, PipelineReport]:
     """Cover set, invariant bucketing, equivalence: the full classifier.
@@ -550,7 +489,7 @@ def classify_pipeline(
 
     space = quotient_space(s, t, m)
     initial_size = initial_cover_set(s, t, m, sub).size
-    cover = reduce_cover_set(s, t, m, sub, inner_guard=inner_guard)
+    cover = reduce_cover_set(s, t, m, sub)
 
     keys = list(cover.assembled(sub))
     # numbering the derived keys attaches sub's lookup here, before a pool

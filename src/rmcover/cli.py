@@ -19,7 +19,6 @@ from .classify import (
     DEFAULT_BUDGET_RETRIES,
     DEFAULT_SPACE_GUARD,
     SpaceTooLargeError,
-    UndecidableError,
     classify_pipeline,
     load_classification,
     orbit_enumerate,
@@ -97,20 +96,20 @@ def _window_function(space: QuotientSpace, f: bf.BooleanFunction, name: str):
     return space.function(space.key_from_anf(anf))
 
 
-def _positive_int(what: str):
-    """Argparse type of a count option; ``what`` names the count in errors.
-    The default of ``--jobs``, RMCOVER_JOBS or 1, passes through here too,
-    so a bad environment value fails like a bad flag."""
+def _count(what: str, least: int = 1):
+    """Argparse type of an integer option of at least ``least`` (0 or 1);
+    ``what`` names the value in errors.  The default of ``--jobs``,
+    RMCOVER_JOBS or 1, passes through here too, so a bad environment value
+    fails like a bad flag."""
+    kind = "a positive integer" if least else "a non-negative integer"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = 0
-        if value < 1:
-            raise argparse.ArgumentTypeError(
-                f"invalid value {text!r}: {what} is a positive integer"
-            )
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {what} is {kind}")
         return value
 
     return parse
@@ -119,7 +118,7 @@ def _positive_int(what: str):
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=_positive_int("the worker count (--jobs or RMCOVER_JOBS)"),
+        type=_count("the worker count (--jobs or RMCOVER_JOBS)"),
         default=os.environ.get("RMCOVER_JOBS", "1"),
     )
 
@@ -327,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--report", default=None)
     pr.add_argument(
         "--budget-iter",
-        type=_positive_int("the search budget per pair"),
+        type=_count("the search budget per pair"),
         default=DEFAULT_ITER_BUDGET,
     )
     pr.add_argument(
         "--budget-retries",
-        type=_positive_int("the number of searches per pair"),
+        type=_count("the number of searches per pair"),
         default=DEFAULT_BUDGET_RETRIES,
     )
     pr.add_argument("--seed", type=int, default=0)
@@ -352,19 +351,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument(
-        "--iter", type=_positive_int("the search budget"), default=DEFAULT_ITER_BUDGET
+        "--iter", type=_count("the search budget"), default=DEFAULT_ITER_BUDGET
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_equiv)
 
     p = subs.add_parser("nl", help="nonlinearity probe / exact / scan")
+    weight_limit = _count("the weight limit", least=0)
     sub2 = p.add_subparsers(dest="subcommand", required=True)
     pp = sub2.add_parser("probe")
     pp.add_argument("--k", type=int, required=True)
     pp.add_argument("--m", type=int, required=True)
-    pp.add_argument("--limit", type=int, required=True)
-    pp.add_argument("--iter", type=_positive_int("the number of passes"), default=1 << 16)
+    pp.add_argument("--limit", type=weight_limit, required=True)
+    pp.add_argument("--iter", type=_count("the number of passes"), default=1 << 16)
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--in", dest="infile", required=True)
     pp.add_argument("--out", default=None)
@@ -377,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=_cmd_nl_exact)
     ps = sub2.add_parser("scan")
     ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--limit", type=int, required=True)
+    ps.add_argument("--limit", type=weight_limit, required=True)
     ps.add_argument("--reps", required=True)
-    ps.add_argument("--iter", type=_positive_int("the number of passes"), default=1 << 16)
+    ps.add_argument("--iter", type=_count("the number of passes"), default=1 << 16)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--dirac", action="store_true", help="scan all dirac translates")
     _add_jobs_argument(ps)
@@ -408,7 +408,6 @@ def main(argv=None) -> int:
         ValueError,
         OSError,
         SpaceTooLargeError,
-        UndecidableError,
         InfeasibleError,
         InconsistentTableError,
     ) as exc:

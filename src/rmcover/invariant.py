@@ -20,7 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .boolfun import wht
-from .quotient import QuotientFunction, QuotientSpace, byte_tables, quotient_space
+from .quotient import (
+    QuotientFunction,
+    QuotientSpace,
+    byte_tables,
+    lower_window,
+    quotient_space,
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ def derivative_tables(s: int, t: int, m: int) -> np.ndarray:
     and read-only.
     """
     space = quotient_space(s, t, m)
-    sub = quotient_space(s - 1, t - 1, m - 1)
+    sub = quotient_space(*lower_window(s, t, m))
     if sub.dim > 63:
         raise ValueError(f"derived keys of {sub} do not fit in int64")
     images = np.zeros((space.dim, 1 << m), dtype=np.int64)
@@ -110,11 +116,11 @@ def class_maps(space: QuotientSpace, keys: Sequence[int], sub) -> np.ndarray:
     """Class maps of a batch of window keys: row i holds that of keys[i].
 
     ``sub`` must classify the (s-1, t-1, m-1) window; it numbers the derived
-    keys itself (``Classification.classes_of``), by its lookup or, without
-    one, by its fallback search.  The zero direction maps to the class of
-    the zero function.
+    keys itself (``Classification.classes_of``), from its complete lookup,
+    which it attaches by BFS when it has none.  The zero direction maps to
+    the class of the zero function.
     """
-    expect = (max(space.s - 1, 0), space.t - 1, space.m - 1)
+    expect = lower_window(*space.params)
     if tuple(sub.space.params) != expect:
         raise ValueError(
             f"classification covers {sub.space.params}, class map needs {expect}"

@@ -31,9 +31,8 @@ def resolve_buckets_parallel(resolve, tasks, jobs):
     """Merge invariant buckets across a pool, in order.
 
     ``resolve`` maps one bucket's keys to its merge result.  The lower-window
-    classification it carries attached its lookup (or cached its fallback
-    signatures) while the parent bucketed the cover, so it reaches the
-    workers with it and they never rebuild it.
+    classification it carries attached its lookup while the parent bucketed
+    the cover, so it reaches the workers with it and they never rebuild it.
     """
     return _pool_map(resolve, tasks, jobs)
 

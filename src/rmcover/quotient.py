@@ -157,6 +157,12 @@ def q_apply_affine(qf: QuotientFunction, s: AffineTransformation) -> QuotientFun
     return qf.space.function(qf.space.key_from_anf(bf.mobius_transform(tt.tt, tt.m)))
 
 
+def lower_window(s: int, t: int, m: int) -> tuple[int, int, int]:
+    """Parameters of the window one below (s, t, m): that of the g in
+    x_m * g + h, and of the restricted derivatives behind the class maps."""
+    return (max(s - 1, 0), t - 1, m - 1)
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """f = x_m * g + h with g one window lower and h one variable shorter."""
@@ -176,7 +182,7 @@ def decompose(qf: QuotientFunction) -> Decomposition:
     """
     if qf.m < 2:
         raise ValueError("need at least two variables to decompose")
-    g_space = quotient_space(qf.s - 1, qf.t - 1, qf.m - 1)
+    g_space = quotient_space(*lower_window(*qf.space.params))
     h_space = quotient_space(qf.s, qf.t, qf.m - 1)
     return Decomposition(
         g_space.function(qf.key >> h_space.dim),
@@ -186,7 +192,7 @@ def decompose(qf: QuotientFunction) -> Decomposition:
 
 def compose_decomposition(g: QuotientFunction, h: QuotientFunction) -> QuotientFunction:
     """Inverse of decompose: x_m * g + h in the (s, t, m) window."""
-    if g.m != h.m or (g.s, g.t) != (max(h.s - 1, 0), h.t - 1):
+    if g.space.params != lower_window(h.s, h.t, h.m + 1):
         raise ValueError("incompatible decomposition parameters")
     return quotient_space(h.s, h.t, h.m + 1).function(h.key | g.key << h.space.dim)
 

@@ -1,12 +1,10 @@
 import random
 from collections import deque
 
-import numpy as np
 import pytest
 
 from rmcover import (
     AffineTransformation,
-    Classification,
     SpaceTooLargeError,
     agl_order,
     class_of,
@@ -397,45 +395,9 @@ class TestClassOf:
             moved = q_apply_affine(oracle234.rep_function(i), random_affine(4, rng))
             assert class_of(moved, oracle234) == i
 
-    def test_fallback_without_lookup(self, oracle234, sub123):
-        import copy
-
-        rng = random.Random(3)
-        blind = copy.copy(oracle234)
-        blind.lookup = None
-        blind._rep_jhat = None
-        blind.fallback_sub = sub123
-        for _ in range(10):
-            i = rng.randrange(oracle234.n_classes)
-            moved = q_apply_affine(oracle234.rep_function(i), random_affine(4, rng))
-            assert class_of(moved, blind) == i
-
-    def test_fallback_follows_renumbered_sub(self, oracle234, sub123):
-        # the representatives' signatures depend on the numbering of the
-        # lower window: a renumbered classification of the same window must
-        # not reuse the signatures computed under the first one
-        import copy
-
-        renumbered = Classification(
-            space=sub123.space,
-            reps=sub123.reps[::-1],
-            lookup=(sub123.n_classes - 1 - sub123.lookup).astype(np.int32),
-        )
-        assert renumbered.digest != sub123.digest
-        rng = random.Random(4)
-        blind = copy.copy(oracle234)
-        blind.lookup = None
-        blind._rep_jhat = None
-        for _ in range(3):
-            i = rng.randrange(oracle234.n_classes)
-            moved = q_apply_affine(oracle234.rep_function(i), random_affine(4, rng))
-            for sub in (sub123, renumbered, sub123):
-                blind.fallback_sub = sub
-                assert class_of(moved, blind) == i
-
-    def test_fallback_requires_sub(self, oracle234):
-        # without a lookup or a fallback_sub the window attaches its lookup
-        # by BFS; one too large for that refuses
+    def test_window_too_large_for_lookup_refuses(self, oracle234):
+        # without a lookup the window attaches it by BFS; one too large for
+        # that refuses
         import copy
 
         blind = copy.copy(oracle234)
@@ -500,23 +462,6 @@ class TestPipeline:
         cls, report = classify_pipeline(2, 3, 6, sub, seed=211, retries=8)
         assert cls.digest == "6c3f590c9416ab65"
         assert (report.equivalence_calls, report.undefined_outcomes) == (101, 4)
-        assert not report.unresolved_pairs
-
-    def test_pipeline_through_fallback_chain(self, sub123, oracle234):
-        # simulate a sub window too large for a lookup: strip it and classify
-        # through invariant bucketing against its stored representatives
-        import copy
-
-        blind_sub = copy.copy(oracle234)
-        blind_sub.lookup = None
-        blind_sub._rep_jhat = None
-        blind_sub.fallback_sub = sub123
-        blind_sub.ensure_lookup = lambda **kw: (_ for _ in ()).throw(
-            SpaceTooLargeError("simulated oversize window")
-        )
-        oracle345 = orbit_enumerate(3, 4, 5, stabilizers=False)
-        cls, report = classify_pipeline(3, 4, 5, blind_sub, budget_iter=2048, seed=0)
-        assert cls.n_classes == oracle345.n_classes
         assert not report.unresolved_pairs
 
 

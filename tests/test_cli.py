@@ -195,6 +195,41 @@ class TestCli:
             assert option in err and "positive integer" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b123.cls", "fns.txt"]
 
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_limit_exits_2(self, tmp_path, capsys, value):
+        reps = tmp_path / "b234.cls"
+        run(["oracle", "--s", "2", "--t", "3", "--m", "4", "--out", str(reps)], capsys)
+        fns = tmp_path / "fns.txt"
+        fns.write_text("ab+cd\n")
+        report = tmp_path / "x.report"
+        for argv in (
+            ["nl", "probe", "--k", "1", "--m", "4", "--in", str(fns), "--iter", "8"],
+            ["nl", "scan", "--k", "1", "--reps", str(reps), "--iter", "8"],
+        ):
+            code, out, err = run(argv + ["--out", str(report), "--limit", value], capsys)
+            assert code == 2 and out == ""
+            assert "--limit" in err and "non-negative integer" in err
+            assert not report.exists()
+            code, out, _ = run(argv + ["--limit", "0"], capsys)
+            assert code == 0 and "found false" in out
+
+    def test_chain_stops_at_pipeline_file_without_stabilizers(self, tmp_path, capsys):
+        # a pipeline file carries no S lines, so it cannot be the lower
+        # window of the next classify run
+        sub = tmp_path / "b123.cls"
+        b234 = tmp_path / "b234.cls"
+        run(["oracle", "--s", "1", "--t", "2", "--m", "3", "--out", str(sub)], capsys)
+        code, _, _ = run(["classify", "run", "--s", "2", "--t", "3", "--m", "4",
+                          "--sub", str(sub), "--out", str(b234)], capsys)
+        assert code == 0
+        out_path, report = tmp_path / "b345.cls", tmp_path / "b345.report"
+        code, out, err = run(["classify", "run", "--s", "3", "--t", "4", "--m", "5",
+                              "--sub", str(b234), "--out", str(out_path),
+                              "--report", str(report)], capsys)
+        assert code == 2 and out == ""
+        assert "stabilizer" in err
+        assert not out_path.exists() and not report.exists()
+
     def test_bad_jobs_environment_exits_2(self, tmp_path, capsys, monkeypatch):
         reps = tmp_path / "reps.cls"
         run(["oracle", "--s", "2", "--t", "3", "--m", "4", "--out", str(reps)], capsys)

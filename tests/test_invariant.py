@@ -1,4 +1,3 @@
-import copy
 import random
 
 import numpy as np
@@ -98,18 +97,6 @@ class TestTablePath:
             f = cls.space.function(key)
             assert row == per_direction_class_map(f, sub)
             assert class_map(f, sub).values == tuple(row)
-
-    def test_sub_without_lookup_goes_through_class_of(self, oracle234, sub123):
-        blind = copy.copy(oracle234)
-        blind.lookup = None
-        blind._rep_jhat = None
-        blind.fallback_sub = sub123
-        cls = orbit_enumerate(3, 4, 5, stabilizers=False)
-        rng = random.Random(345)
-        keys = cls.reps + [rng.randrange(1 << cls.space.dim) for _ in range(10)]
-        expect = [per_direction_class_map(cls.space.function(k), oracle234) for k in keys]
-        assert class_maps(cls.space, keys, blind).tolist() == expect
-        assert blind._rep_jhat is not None  # the class_of fallback ran
 
     def test_wide_keys(self):
         # B(5,6,8) keys have 84 bits; their derived B(4,5,7) keys fit in int64
