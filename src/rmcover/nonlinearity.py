@@ -24,9 +24,19 @@ from .group import gf2_rank
 DEFAULT_ENUM_GUARD = 1 << 22
 DEFAULT_COSET_GUARD = 1 << 26
 _PIVOT_RETRY_CAP = 1 << 12
-# packed truth-table bits per scan walk: k = 4, m = 8 throughput peaks near
-# 1024 functions of 256 bits
-_CHUNK_BITS = 1 << 18
+# matrix rows per block of a probe sweep, a multiple of 8: at k = 4, m = 8 the
+# walk of a few functions runs fastest near 16 to 24 rows, and 24 puts the
+# 22 rows of RM(2,6) in a single block
+_BLOCK_ROWS = 24
+_WORD = np.dtype("<u8")
+# the last doubling of _eliminate as two gathers from its flat (groups, 16, 2)
+# nibble tables: entry 16*h + l of a group's table is its high-nibble entry h
+# plus its low-nibble entry l
+_HIGH_NIBBLE = (32 * np.arange(_BLOCK_ROWS // 8)[:, None] + 2 * (np.arange(256) >> 4) + 1).ravel()
+_LOW_NIBBLE = (32 * np.arange(_BLOCK_ROWS // 8)[:, None] + 2 * (np.arange(256) & 15)).ravel()
+# packed truth-table bits per scan walk: at k = 4, m = 8 the blocked walk's
+# throughput levels off near 16384 functions of 256 bits
+_CHUNK_BITS = 1 << 22
 
 
 class InfeasibleError(RuntimeError):
@@ -130,50 +140,89 @@ def probe_batch(
 
     The pivots depend only on the working matrix and the rng, never on the
     functions, so for a fixed rng a sweep is a GF(2)-linear map of f and all
-    functions can share it.  They are packed side by side in one integer,
-    function b at bits [b*stride, b*stride + 2^m); a row update XORs the row
-    into every block whose bit sits at the pivot, through one multiply that
-    cannot carry because row < 2^stride.  A function's result is frozen at
-    the pass where it first reaches ``limit``; the walk stops once none is
-    left or the budget is spent.
+    functions can share it.  The state is one uint64 array: the matrix rows,
+    then the functions, one truth table per row of 64-bit words.
+
+    A sweep takes the matrix rows in blocks of ``_BLOCK_ROWS``.  Inside a
+    block, as Python ints, row r is eliminated by the block's earlier rows,
+    its pivot is drawn, and it becomes a matrix row; the block also keeps
+    its rows reduced, D_j set at pivot j and clear at the block's other
+    pivots.  Every row below the block, matrix row or function, then gets
+    one numpy update, row ^= sum of row[p_j] * D_j.  That sum makes the only
+    element of row + span(block) that is clear at all of the block's
+    pivots, which is also what eliminating by the block's rows one at a
+    time leaves, so the walk is the row-by-row one.
+
+    A pivot is ``rng.getrandbits(m + 1)`` drawn until it is below 2^m and
+    set in the row, which is the draw of ``rng.randrange(2**m)`` on CPython
+    3.10+; after ``_PIVOT_RETRY_CAP`` in-range misses it is a choice among
+    the row's set bits.  A function's result is frozen at the pass where it
+    first reaches ``limit``; the walk stops once none is left or the budget
+    is spent.
     """
     gen = rm_generator_matrix(k, m)
     n = 1 << m
     if any(tt >> n for tt in tts):
         raise ValueError(f"truth table wider than 2^{m} bits")
-    stride = _block_bits(m)
-    g = list(gen.rows)
-    nrows = len(g)
+    nrows = gen.nrows
     count = len(tts)
-    block = stride // 8
-    # packed through bytes: summing shifted ints is quadratic in the batch size
-    ones = int.from_bytes((b"\x01" + bytes(block - 1)) * count, "little")
-    big = int.from_bytes(b"".join(tt.to_bytes(block, "little") for tt in tts), "little")
+    nbytes = _row_bytes(m)
+    rows = list(gen.rows)
+    state = _pack([*rows, *tts], nbytes).copy()
+    # the block's reduced rows D_j, packed into one int at these offsets
+    shifts = [8 * nbytes * j for j in range(_BLOCK_ROWS)]
+    ones = sum(1 << shift for shift in shifts)
+    grid = np.zeros((_BLOCK_ROWS // 8, 2, 8, nbytes // 8), dtype=_WORD)
+    bit = [1 << p for p in range(n)]
+    width = m + 1
+    retry_cap = _PIVOT_RETRY_CAP
+    draw = rng.getrandbits
     best = [tt.bit_count() for tt in tts]
     passes = [0] * count
     live = [b for b in range(count) if best[b] > limit]
     done = 0
     while live and done < iter_budget:
         done += 1
-        for i in range(nrows):
-            row = g[i]
-            p = _random_pivot_int(row, n, rng)
-            bit = 1 << p
-            for j in range(i + 1, nrows):
-                if g[j] & bit:
-                    g[j] ^= row
-            sel = (big >> p) & ones
-            if sel:
-                big ^= sel * row
-        if count == 1:
-            weights = [big.bit_count()]
-        else:
-            raw = np.frombuffer(big.to_bytes(count * block, "little"), dtype=np.uint8)
-            weights = np.bitwise_count(raw).reshape(count, -1).sum(axis=1).tolist()
+        for lo in range(0, nrows, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, nrows)
+            block = []
+            pivots = []
+            masks = []
+            reduced = 0
+            # the first block's rows are the last sweep's; each later block reads
+            # its rows from the array, where the blocks before it updated them
+            current = rows[:hi] if lo == 0 else _unpack(state[lo:hi], nbytes)
+            for shift, row in zip(shifts, current):
+                for mask, e in zip(masks, block):
+                    if row & mask:
+                        row ^= e
+                misses = 0
+                while True:
+                    p = draw(width)
+                    if p < n:
+                        if row & bit[p]:
+                            break
+                        misses += 1
+                        if misses == retry_cap:
+                            # pathological luck: an explicit choice among the set bits
+                            p = rng.choice(_set_positions(row))
+                            break
+                # clear the pivot from the earlier D_j, one multiply for all of them
+                sel = reduced >> p & ones
+                if sel:
+                    reduced ^= sel * row
+                reduced |= row << shift
+                block.append(row)
+                pivots.append(p)
+                masks.append(bit[p])
+            rows[lo:hi] = block
+            if hi < nrows + count:
+                _eliminate(state[hi:], pivots, reduced, grid)
+        if nrows > _BLOCK_ROWS:
+            state[_BLOCK_ROWS:nrows] = _pack(rows[_BLOCK_ROWS:], nbytes)
+        weights = np.bitwise_count(state[nrows:]).sum(axis=1).tolist()
         if check_coset:
-            mask = (1 << n) - 1
-            fs = [(big >> (b * stride)) & mask for b in range(count)]
-            _assert_coset_preserved(g, fs, gen.rows, tts)
+            _assert_coset_preserved(rows, _unpack(state[nrows:], nbytes), gen.rows, tts)
         hit = False
         for b in live:
             if weights[b] < best[b]:
@@ -188,18 +237,51 @@ def probe_batch(
     return [ProbeResult(best[b] <= limit, best[b], passes[b]) for b in range(count)]
 
 
-def _block_bits(m: int) -> int:
-    """Bits per function in a packed batch: whole bytes, for the weight count."""
-    return max(8, 1 << m)
+def _eliminate(below: np.ndarray, pivots: list[int], reduced: int, grid: np.ndarray) -> None:
+    """below ^= sum of below[p_j] * D_j over a block's pivots p_j and rows D_j.
+
+    This is the Four Russians step of M4RI (Albrecht, Bard and Hart, ACM
+    TOMS 37(1), 2010).  The D_j of ``reduced`` go to ``grid[:, 1]``, whose
+    [:, 0] stays zero, and for each 8 of them two doublings and a pair of
+    gathers build the table of all 256 sums; a row of ``below`` then takes
+    one lookup per 8 pivots, indexed by its bits at them.  A short last
+    block pads its pivots with zero byte masks, so those index bits stay clear.
+    """
+    groups, _, _, nwords = grid.shape
+    pad = [0] * (_BLOCK_ROWS - len(pivots))
+    # the byte of each pivot, then its bit in that byte
+    where = [p >> 3 for p in pivots] + pad + [1 << (p & 7) for p in pivots] + pad
+    where = np.array(where, dtype=np.uint8)
+    bits = below.view(np.uint8)[:, where[:_BLOCK_ROWS]] & where[_BLOCK_ROWS:]
+    index = np.packbits(bits.ravel(), bitorder="little").reshape(-1, groups)
+    raw = reduced.to_bytes(64 * groups * nwords, "little")
+    grid[:, 1] = np.frombuffer(raw, dtype=_WORD).reshape(groups, 8, nwords)
+    t = grid
+    for size in (4, 2):
+        t = (t[:, :, None, 1::2] ^ t[:, None, :, ::2]).reshape(groups, -1, size, nwords)
+    t = t.reshape(-1, nwords)
+    t = (t.take(_HIGH_NIBBLE, axis=0) ^ t.take(_LOW_NIBBLE, axis=0)).reshape(groups, 256, nwords)
+    update = t[0].take(index[:, 0], axis=0)
+    for g in range(1, groups):
+        update ^= t[g].take(index[:, g], axis=0)
+    below ^= update
 
 
-def _random_pivot_int(row: int, n: int, rng: Random) -> int:
-    for _ in range(_PIVOT_RETRY_CAP):
-        p = rng.randrange(n)
-        if (row >> p) & 1:
-            return p
-    # pathological luck: fall back to an explicit choice among the set bits
-    return rng.choice(_set_positions(row))
+def _row_bytes(m: int) -> int:
+    """Bytes per truth table in the probe's state: whole 64-bit words."""
+    return 8 * max(1, (1 << m) >> 6)
+
+
+def _pack(vals: Sequence[int], nbytes: int) -> np.ndarray:
+    """Truth tables as the rows of a read-only little-endian uint64 array."""
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in vals)
+    return np.frombuffer(raw, dtype=_WORD).reshape(len(vals), nbytes // 8)
+
+
+def _unpack(words: np.ndarray, nbytes: int) -> list[int]:
+    """The rows of a ``_pack``ed array as ints."""
+    raw = words.tobytes()
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
 def _set_positions(val: int) -> list[int]:
@@ -585,7 +667,7 @@ class _ScanWalk:
         to its first hit, so it does not depend on the chunking.
         """
         n = len(self)
-        pieces = max(-(-n // max(1, _CHUNK_BITS // _block_bits(self.m))), min(jobs, n))
+        pieces = max(-(-n // max(1, _CHUNK_BITS // (8 * _row_bytes(self.m)))), min(jobs, n))
         chunks = [range(i * n // pieces, (i + 1) * n // pieces) for i in range(pieces)]
         if jobs > 1 and len(chunks) > 1:
             from .parallel import probe_batch_parallel

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rmcover import (
@@ -25,10 +26,13 @@ from rmcover import (
     weight,
 )
 from rmcover import nonlinearity, parallel
-from rmcover.boolfun import apply_affine, degree
+from rmcover.boolfun import apply_affine, degree, mobius_transform
 from rmcover.group import gf2_rank
+from rmcover.nonlinearity import ProbeResult
 
 BENT4 = "ab+cd"
+# the order-4 quintic of the m = 8 acceptance test (C7)
+QUINTIC = "abcef+acdef+abcdg+abdeg+abcfg+acdeh+abcfh+bdefh+bcdgh+abegh+adfgh+cefgh"
 
 
 def table_row_m7():
@@ -179,6 +183,186 @@ class TestProbe:
     def test_batch_rejects_wide_truth_table(self):
         with pytest.raises(ValueError):
             probe_batch(1, 3, [1, 1 << 8], 4, 0, random.Random(0))
+
+
+def reference_probe(k, m, tts, iter_budget, limit, rng, *, check_coset=False):
+    """The row-by-row walk that the blocked probe_batch replaced, kept as its reference.
+
+    Each row of the working matrix draws its pivot with randrange and is XORed
+    into every later row set there; the functions sit side by side in one
+    packed int and take the row through one multiply.
+    """
+    gen = rm_generator_matrix(k, m)
+    n = 1 << m
+    if any(tt >> n for tt in tts):
+        raise ValueError(f"truth table wider than 2^{m} bits")
+    stride = max(8, 1 << m)
+    g = list(gen.rows)
+    nrows = len(g)
+    count = len(tts)
+    block = stride // 8
+    # packed through bytes: summing shifted ints is quadratic in the batch size
+    ones = int.from_bytes((b"\x01" + bytes(block - 1)) * count, "little")
+    big = int.from_bytes(b"".join(tt.to_bytes(block, "little") for tt in tts), "little")
+    best = [tt.bit_count() for tt in tts]
+    passes = [0] * count
+    live = [b for b in range(count) if best[b] > limit]
+    done = 0
+    while live and done < iter_budget:
+        done += 1
+        for i in range(nrows):
+            row = g[i]
+            p = _reference_pivot(row, n, rng)
+            bit = 1 << p
+            for j in range(i + 1, nrows):
+                if g[j] & bit:
+                    g[j] ^= row
+            sel = (big >> p) & ones
+            if sel:
+                big ^= sel * row
+        if count == 1:
+            weights = [big.bit_count()]
+        else:
+            raw = np.frombuffer(big.to_bytes(count * block, "little"), dtype=np.uint8)
+            weights = np.bitwise_count(raw).reshape(count, -1).sum(axis=1).tolist()
+        if check_coset:
+            mask = (1 << n) - 1
+            fs = [(big >> (b * stride)) & mask for b in range(count)]
+            nonlinearity._assert_coset_preserved(g, fs, gen.rows, tts)
+        hit = False
+        for b in live:
+            if weights[b] < best[b]:
+                best[b] = weights[b]
+                if best[b] <= limit:
+                    passes[b] = done
+                    hit = True
+        if hit:
+            live = [b for b in live if best[b] > limit]
+    for b in live:
+        passes[b] = done
+    return [ProbeResult(best[b] <= limit, best[b], passes[b]) for b in range(count)]
+
+
+def _reference_pivot(row, n, rng):
+    for _ in range(nonlinearity._PIVOT_RETRY_CAP):
+        p = rng.randrange(n)
+        if (row >> p) & 1:
+            return p
+    # pathological luck: fall back to an explicit choice among the set bits
+    return rng.choice(nonlinearity._set_positions(row))
+
+
+def _near_code_batch(k, m, count, rng):
+    """Truth tables at spread distances from RM(k,m), a third with bit 63 of every word set."""
+    rows = rm_generator_matrix(k, m).rows
+    n = 1 << m
+    tts = []
+    for i in range(count):
+        f = 0
+        for row in rows:
+            if rng.getrandbits(1):
+                f ^= row
+        for _ in range(rng.randrange(n // 2 + 1)):
+            f ^= 1 << rng.randrange(n)
+        if n >= 64 and i % 3 == 0:
+            f |= sum(1 << b for b in range(63, n, 64))
+        tts.append(f)
+    return tts
+
+
+def _b568_element(seed):
+    """A seeded element of B(5,6,8): each monomial of degree 5 or 6 with probability 1/2."""
+    rng = random.Random(seed)
+    anf = 0
+    for mask in range(256):
+        if 5 <= mask.bit_count() <= 6 and rng.getrandbits(1):
+            anf |= 1 << mask
+    return mobius_transform(anf, 8)
+
+
+def _triples(results):
+    return [(r.found, r.best_weight, r.passes_used) for r in results]
+
+
+class TestProbeKernel:
+    """The blocked probe_batch against the row-by-row reference walk."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_equals_reference(self, m):
+        rng = random.Random(100 + m)
+        iters = {7: 8, 8: 4}.get(m, 16)
+        hit_passes = set()
+        for k in range(m + 1):
+            for count in (0, 1, 2, 5, 40):
+                tts = _near_code_batch(k, m, count, rng)
+                # a limit between the batch's distances: hits come on different passes
+                limit = rng.randrange(max(1, (1 << m) // 8) + 1)
+                check = m <= 6 and count in (1, 5)
+                seed = rng.getrandbits(32)
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = probe_batch(k, m, tts, iters, limit, ours, check_coset=check)
+                want = reference_probe(k, m, tts, iters, limit, theirs, check_coset=check)
+                assert got == want, (k, count, limit)
+                assert ours.getstate() == theirs.getstate()
+                hit_passes.update(r.passes_used for r in got if r.found)
+        if m >= 3:
+            assert len(hit_passes - {0}) >= 2
+
+    def test_pivot_fallback_equals_reference(self, monkeypatch):
+        # with a cap of 1, a row whose first in-range draw misses takes the
+        # explicit choice among its set bits
+        monkeypatch.setattr(nonlinearity, "_PIVOT_RETRY_CAP", 1)
+        fallbacks = []
+        set_positions = nonlinearity._set_positions
+        monkeypatch.setattr(
+            nonlinearity, "_set_positions", lambda val: fallbacks.append(val) or set_positions(val)
+        )
+        rng = random.Random(7)
+        for k, m, iters in ((1, 4, 12), (2, 6, 8), (4, 8, 2)):
+            tts = _near_code_batch(k, m, 5, rng)
+            seed = rng.getrandbits(32)
+            fallbacks.clear()
+            got = probe_batch(k, m, tts, iters, 0, random.Random(seed))
+            assert fallbacks
+            assert got == reference_probe(k, m, tts, iters, 0, random.Random(seed))
+
+    def test_golden_m8(self):
+        # the row-by-row walk's results, pinned: the quintic runs the budget
+        # out, the B(5,6,8) element hits late
+        tts = [parse_function(QUINTIC, 8).tt, _b568_element(1)]
+        got = probe_batch(4, 8, tts, 96, 32, random.Random(1))
+        assert _triples(got) == [(False, 34, 96), (True, 30, 79)]
+
+    def test_golden_m6(self):
+        base = random.Random(1).getrandbits(64)
+        tts = [base ^ (1 << a) for a in range(0, 64, 4)]
+        got = probe_batch(2, 6, tts, 24, 15, random.Random(1))
+        assert _triples(got) == [
+            (False, 16, 24), (False, 16, 24), (True, 14, 15), (False, 16, 24),
+            (True, 14, 4), (False, 16, 24), (False, 16, 24), (True, 14, 18),
+            (False, 16, 24), (True, 14, 9), (True, 14, 22), (False, 18, 24),
+            (False, 16, 24), (False, 16, 24), (False, 16, 24), (False, 16, 24),
+        ]
+
+    @pytest.mark.parametrize("m", [1, 4, 6, 8])
+    def test_pivot_draws_are_randrange(self, m):
+        # RM(0,m) is one all-ones row, so each pass draws one pivot, the first
+        # in-range value; the draws must be those of randrange(2**m) on this
+        # interpreter, and use up the generator exactly as it does
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                value = super().getrandbits(k)
+                self.drawn.append(value)
+                return value
+
+        for seed in range(5):
+            rng = Recording(seed)
+            rng.drawn = []
+            probe_batch(0, m, [1], 12, -1, rng)
+            ref = random.Random(seed)
+            pivots = [p for p in rng.drawn if p < 1 << m]
+            assert pivots == [ref.randrange(1 << m) for _ in range(12)]
+            assert rng.getstate() == ref.getstate()
 
 
 class TestCoveringRadius:
