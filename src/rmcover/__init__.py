@@ -56,12 +56,11 @@ from .group import (
     transvection,
 )
 from .invariant import (
-    ClassMap,
     InvariantSignature,
     class_map,
-    fourier_map,
-    j_hat_signature,
-    j_signature,
+    class_maps,
+    j_hat_signatures,
+    j_signatures,
 )
 from .nonlinearity import (
     Bound,

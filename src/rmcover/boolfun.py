@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import AffineTransformation
+from .group import AffineTransformation, transpose_rows
 
 MAX_VARS = 16
 
@@ -171,7 +171,7 @@ def affine_point_map(s: AffineTransformation) -> list[int]:
     out = [s.trans] * n
     # Gray-code walk: consecutive codes differ in one coordinate.
     y = s.trans
-    cols = [matvec_col(s.rows, i) for i in range(s.m)]
+    cols = transpose_rows(s.rows, s.m)
     prev_gray = 0
     for x in range(1, n):
         gray = x ^ (x >> 1)
@@ -180,14 +180,6 @@ def affine_point_map(s: AffineTransformation) -> list[int]:
         out[gray] = y
         prev_gray = gray
     return out
-
-
-def matvec_col(rows, i: int) -> int:
-    """Column i of a row-mask matrix, as a vector."""
-    col = 0
-    for r, row in enumerate(rows):
-        col |= ((row >> i) & 1) << r
-    return col
 
 
 def apply_affine(f: BooleanFunction, s: AffineTransformation) -> BooleanFunction:

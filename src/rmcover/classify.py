@@ -606,7 +606,6 @@ def load_classification(path: str) -> Classification:
     reps: list[int] = []
     sizes: list = []
     stab: dict[int, list[AffineTransformation]] = {}
-    m = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -614,6 +613,8 @@ def load_classification(path: str) -> Classification:
                 continue
             try:
                 if line.startswith("#%space"):
+                    if space is not None:
+                        raise ValueError("second space header")
                     s, t, m = (int(p) for p in line.split()[1:])
                     space = quotient_space(s, t, m)
                 elif line.startswith("#%provenance"):
@@ -622,6 +623,8 @@ def load_classification(path: str) -> Classification:
                     declared_digest = line.split()[1]
                 elif line.startswith("#"):
                     continue
+                elif space is None:
+                    raise ValueError(f"{line.split()[0]!r} record before the space header")
                 elif line.startswith("G "):
                     generators.append(_decode_affine(line[2:], m))
                 elif line.startswith("R "):

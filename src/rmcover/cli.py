@@ -292,17 +292,6 @@ def _cmd_radius(args) -> int:
     return 0
 
 
-def _add_oracle_parser(subs, help_text: str) -> None:
-    p = subs.add_parser("oracle", help=help_text)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--guard", type=int, default=DEFAULT_SPACE_GUARD)
-    p.add_argument("--no-stabilizers", dest="stabilizers", action="store_false")
-    p.set_defaults(func=_cmd_oracle)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmcover",
@@ -312,11 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_oracle_parser(subs, "exact classification by full-space BFS")
+    p = subs.add_parser("oracle", help="exact classification by full-space BFS")
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--guard", type=int, default=DEFAULT_SPACE_GUARD)
+    p.add_argument("--no-stabilizers", dest="stabilizers", action="store_false")
+    p.set_defaults(func=_cmd_oracle)
 
     p = subs.add_parser("classify", help="cover set + invariant + equivalence pipeline")
     sub2 = p.add_subparsers(dest="subcommand", required=True)
-    _add_oracle_parser(sub2, "alias of the top-level oracle command")
     pr = sub2.add_parser("run")
     pr.add_argument("--s", type=int, required=True)
     pr.add_argument("--t", type=int, required=True)

@@ -30,15 +30,6 @@ from .quotient import (
 
 
 @dataclass(frozen=True)
-class ClassMap:
-    """Class index of the restricted derivative, for every direction."""
-
-    m: int
-    values: tuple[int, ...]
-    classification_digest: str
-
-
-@dataclass(frozen=True)
 class InvariantSignature:
     """Sorted (value, multiplicity) histogram, pinned to a class numbering."""
 
@@ -128,10 +119,9 @@ def class_maps(space: QuotientSpace, keys: Sequence[int], sub) -> np.ndarray:
     return sub.classes_of(derived_keys(space, keys))
 
 
-def class_map(f: QuotientFunction, sub) -> ClassMap:
-    """Map each direction to the class of the restricted derivative."""
-    values = class_maps(f.space, [f.key], sub)[0]
-    return ClassMap(f.m, tuple(values.tolist()), sub.digest)
+def class_map(f: QuotientFunction, sub) -> np.ndarray:
+    """Class map of one function: ``class_maps`` on a batch of one."""
+    return class_maps(f.space, [f.key], sub)[0]
 
 
 def _histograms(kind: str, rows, digest: str) -> list[InvariantSignature]:
@@ -141,6 +131,8 @@ def _histograms(kind: str, rows, digest: str) -> list[InvariantSignature]:
     left neighbour, and every row starts one; in row-major order the next
     start (or the end) closes each run, so one diff counts them all.
     """
+    if not len(rows):
+        return []
     rows = np.sort(np.asarray(rows), axis=1)
     starts = np.ones(rows.shape, dtype=bool)
     starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
@@ -168,18 +160,3 @@ def j_hat_signatures(maps: np.ndarray, digest: str) -> list[InvariantSignature]:
         return []
     # wht transforms every column of a 2-D array
     return _histograms("Jhat", wht(np.asarray(maps, dtype=np.int64).T).T, digest)
-
-
-def j_signature(cm: ClassMap) -> InvariantSignature:
-    """Distribution of the class-map values."""
-    return j_signatures([cm.values], cm.classification_digest)[0]
-
-
-def fourier_map(cm: ClassMap) -> tuple[int, ...]:
-    """Integer Walsh-Hadamard transform of the class map."""
-    return tuple(wht(cm.values).tolist())
-
-
-def j_hat_signature(cm: ClassMap) -> InvariantSignature:
-    """Distribution of the Walsh-Hadamard transform of the class map."""
-    return j_hat_signatures([cm.values], cm.classification_digest)[0]

@@ -303,22 +303,17 @@ def _assert_coset_preserved(rows_now, fs_now, orig_rows, orig_tts):
             raise AssertionError("working function left its coset")
 
 
-def exact_nonlinearity(
-    k: int,
-    m: int,
-    f: BooleanFunction,
-    *,
-    enum_guard: int = DEFAULT_ENUM_GUARD,
-) -> int:
+def exact_nonlinearity(k: int, m: int, f: BooleanFunction) -> int:
     """Exact coset-leader weight: Walsh for k = 1, enumeration when it fits."""
     if f.m != m:
         raise ValueError("dimension mismatch")
     if k == 1:
         return _first_order_nl(f)
     dim = rm_dimension(k, m)
-    if (1 << dim) > enum_guard:
+    if (1 << dim) > DEFAULT_ENUM_GUARD:
         raise InfeasibleError(
-            f"RM({k},{m}) has 2^{dim} codewords, enumeration guard allows {enum_guard}"
+            f"RM({k},{m}) has 2^{dim} codewords, "
+            f"enumeration guard allows {DEFAULT_ENUM_GUARD}"
         )
     return _coset_leader_weight(f.tt, rm_generator_matrix(k, m).rows)
 
@@ -340,13 +335,7 @@ def _coset_leader_weight(tt: int, rows: Sequence[int]) -> int:
     return best
 
 
-def covering_radius_exact(
-    k: int,
-    m: int,
-    *,
-    coset_guard: int = DEFAULT_COSET_GUARD,
-    enum_guard: int = DEFAULT_ENUM_GUARD,
-) -> int:
+def covering_radius_exact(k: int, m: int) -> int:
     """Max coset-leader weight over all cosets of RM(k,m), by full enumeration.
 
     Coset representatives are the ANF vectors supported on monomials of
@@ -357,16 +346,16 @@ def covering_radius_exact(
     dim = rm_dimension(k, m)
     n = 1 << m
     n_cosets = 1 << (n - dim)
-    if n_cosets > coset_guard:
+    if n_cosets > DEFAULT_COSET_GUARD:
         raise InfeasibleError(
-            f"2^{n - dim} cosets exceed the guard {coset_guard}"
+            f"2^{n - dim} cosets exceed the guard {DEFAULT_COSET_GUARD}"
         )
     free_masks = [mask for mask in range(n) if mask.bit_count() > k]
     assert len(free_masks) == n - dim
     if k == 1:
         return _radius_first_order_batched(m, free_masks)
     total_work = n_cosets * (1 << dim)
-    if total_work > enum_guard * 16:
+    if total_work > DEFAULT_ENUM_GUARD * 16:
         raise InfeasibleError(
             f"coset enumeration needs {n_cosets} x 2^{dim} codeword scans"
         )
@@ -415,7 +404,6 @@ def relative_rho(
     *,
     probe_iter: int = 1 << 16,
     rng: Optional[Random] = None,
-    enum_guard: int = DEFAULT_ENUM_GUARD,
 ) -> tuple[int, bool]:
     """Covering radius of RM(k,m) relative to RM(t,m), over representatives.
 
@@ -433,7 +421,7 @@ def relative_rho(
     for fn in reps.rep_functions():
         lift = fn.lift()
         try:
-            nl = exact_nonlinearity(k, m, lift, enum_guard=enum_guard)
+            nl = exact_nonlinearity(k, m, lift)
         except InfeasibleError:
             certified = False
             nl = nl_probe(k, m, lift, probe_iter, 0, rng).best_weight

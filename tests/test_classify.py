@@ -518,6 +518,23 @@ class TestFiles:
         with pytest.raises(ValueError, match="bad.cls:3"):
             load_classification(str(path))
 
+    def test_second_space_header_refused(self, tmp_path):
+        # the records after it would otherwise be parsed in the new window
+        path = tmp_path / "c.cls"
+        path.write_text("#%space 1 2 3\nR 0 - ab\n#%space 2 3 4\nR 1 - abc\n")
+        with pytest.raises(ValueError, match="c.cls:3: second space header"):
+            load_classification(str(path))
+
+    @pytest.mark.parametrize("record", ["G 1,2,4;0", "R 0 - ab", "S 0 -"])
+    def test_record_before_space_header_refused(self, tmp_path, record):
+        path = tmp_path / "c.cls"
+        path.write_text(f"{record}\n#%space 1 2 3\nR 0 - 0\n")
+        kind = record.split()[0]
+        with pytest.raises(
+            ValueError, match=f"c.cls:1: '{kind}' record before the space header"
+        ):
+            load_classification(str(path))
+
     @pytest.mark.parametrize("line", ["S 99 -", "S -1 -"])
     def test_stabilizer_of_unknown_class_refused(self, oracle223, tmp_path, line):
         path = tmp_path / "c.cls"

@@ -379,17 +379,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0 and rmcover.__version__ in out
 
-    def test_classify_oracle_alias(self, tmp_path, capsys):
-        direct = tmp_path / "a.cls"
-        alias = tmp_path / "b.cls"
-        run(["oracle", "--s", "2", "--t", "2", "--m", "3", "--out", str(direct)], capsys)
-        code, out, _ = run(
-            ["classify", "oracle", "--s", "2", "--t", "2", "--m", "3", "--out", str(alias)],
-            capsys,
-        )
-        assert code == 0
-        assert direct.read_bytes() == alias.read_bytes()
-
     def test_failed_report_write_keeps_previous_report(self, tmp_path, capsys, request):
         fns = tmp_path / "fns.txt"
         fns.write_text("ab+cd\n")
@@ -412,6 +401,14 @@ class TestCli:
         )
         assert code == 2
         assert "fns.txt:2" in err
+
+    def test_second_space_header_exits_2(self, tmp_path, capsys):
+        reps = tmp_path / "reps.cls"
+        reps.write_text("#%space 1 2 3\nR 0 - ab\n#%space 2 3 4\nR 1 - abc\n")
+        code, out, err = run(
+            ["nl", "scan", "--k", "1", "--limit", "2", "--reps", str(reps)], capsys
+        )
+        assert code == 2 and "reps.cls:3: second space header" in err and out == ""
 
     def test_digest_mismatch_refused(self, tmp_path, capsys):
         sub = tmp_path / "sub.cls"

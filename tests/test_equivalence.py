@@ -12,11 +12,11 @@ from rmcover import (
     candidate_checking,
     class_map,
     equivalent,
-    fourier_map,
     orbit_enumerate,
     q_apply_affine,
     quotient_space,
     random_affine,
+    wht,
 )
 from rmcover.boolfun import anf_degree, mobius_transform
 from rmcover.equivalence import admissible_mask, sibling_masks, top_degree_filter
@@ -73,7 +73,7 @@ class TestAdmissible:
         rng = random.Random(seed)
         space = quotient_space(2, 3, 4)
         f = space.function(rng.randrange(1 << space.dim))
-        fh = fourier_map(class_map(f, sub123))
+        fh = wht(class_map(f, sub123))
         return f, fh
 
     def test_first_level_value_mismatch(self, sub123):
@@ -114,7 +114,7 @@ class TestAdmissible:
         for _ in range(3):
             f = space.function(rng.randrange(1 << space.dim))
             fp = q_apply_affine(f, random_affine(m, rng))
-            spectra.append((fourier_map(class_map(f, sub)), fourier_map(class_map(fp, sub))))
+            spectra.append((wht(class_map(f, sub)), wht(class_map(fp, sub))))
         admitted = 0
         for fh_f, fh_fp in spectra:
             for i in range(1, m + 1):
