@@ -600,8 +600,8 @@ def save_classification(cls: Classification, path: str) -> None:
 
 def load_classification(path: str) -> Classification:
     space = None
-    declared_digest = ""
-    provenance = ""
+    declared_digest = None
+    provenance = None
     generators: list[AffineTransformation] = []
     reps: list[int] = []
     sizes: list = []
@@ -618,8 +618,12 @@ def load_classification(path: str) -> Classification:
                     s, t, m = (int(p) for p in line.split()[1:])
                     space = quotient_space(s, t, m)
                 elif line.startswith("#%provenance"):
+                    if provenance is not None:
+                        raise ValueError("second provenance header")
                     provenance = line.split(None, 1)[1] if " " in line else ""
                 elif line.startswith("#%digest"):
+                    if declared_digest is not None:
+                        raise ValueError("second digest header")
                     declared_digest = line.split()[1]
                 elif line.startswith("#"):
                     continue
@@ -675,7 +679,7 @@ def load_classification(path: str) -> Classification:
         orbit_sizes=orbit_sizes,
         stabilizer_gens=stab_lists,
         lookup=None,
-        provenance=provenance,
+        provenance=provenance or "",
         generators=generators or None,
         digest=digest,
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from random import Random
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,19 +22,20 @@ from .group import gf2_rank
 
 DEFAULT_ENUM_GUARD = 1 << 22
 DEFAULT_COSET_GUARD = 1 << 26
-_PIVOT_RETRY_CAP = 1 << 12
-# matrix rows per block of a probe sweep, a multiple of 8: at k = 4, m = 8 the
-# walk of a few functions runs fastest near 16 to 24 rows, and 24 puts the
-# 22 rows of RM(2,6) in a single block
-_BLOCK_ROWS = 24
+# bytes of arrays per block of a probe walk: the sweeps of a block, and the
+# sweeps and chunks reduced at once, take their number from it
+_BLOCK_BYTES = 1 << 20
 _WORD = np.dtype("<u8")
-# the last doubling of _eliminate as two gathers from its flat (groups, 16, 2)
-# nibble tables: entry 16*h + l of a group's table is its high-nibble entry h
-# plus its low-nibble entry l
-_HIGH_NIBBLE = (32 * np.arange(_BLOCK_ROWS // 8)[:, None] + 2 * (np.arange(256) >> 4) + 1).ravel()
-_LOW_NIBBLE = (32 * np.arange(_BLOCK_ROWS // 8)[:, None] + 2 * (np.arange(256) & 15)).ravel()
-# packed truth-table bits per scan walk: at k = 4, m = 8 the blocked walk's
-# throughput levels off near 16384 functions of 256 bits
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014), the probe's pivot draws
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+# _SELECT[b, r]: the position of the r-th lowest set bit of the byte b
+_SELECT = np.array(
+    [[p for p in range(8) if b >> p & 1] + [0] * (8 - b.bit_count()) for b in range(256)],
+    dtype=np.intp,
+)
+# packed truth-table bits per scan chunk, 16384 functions at m = 8: a scan
+# builds the truth tables of one chunk at a time
 _CHUNK_BITS = 1 << 22
 
 
@@ -103,27 +103,27 @@ def nl_probe(
     f: BooleanFunction,
     iter_budget: int,
     limit: int,
-    rng: Random,
+    seed: int,
     *,
     check_coset: bool = False,
 ) -> ProbeResult:
     """Randomized row-elimination probe for small-weight coset members.
 
-    Each pass sweeps every row of a working copy of the RM(k,m) generator
-    matrix: a random pivot column is drawn among the set positions of the
-    row, the row is eliminated from the rows below it, and from f when f is
-    set at the pivot.  Row operations keep the matrix row-equivalent to the
+    Each pass sweeps the rows of the RM(k,m) generator matrix in order: a
+    random pivot column is drawn among the set positions of the row, and the
+    row is eliminated from the rows below it, and from f when f is set at
+    the pivot.  Row operations keep the matrix row-equivalent to the
     generator matrix and keep f inside its original coset, so every recorded
     weight upper-bounds the nonlinearity.  Stops as soon as a weight at most
     ``limit`` appears.
 
-    This is ``probe_batch`` on a batch of one: a batch probed with
-    ``Random(s)`` gives every function exactly the result of ``nl_probe``
-    on it alone with ``Random(s)``.
+    This is ``probe_batch`` on a batch of one: a batch probed with ``seed``
+    gives every function exactly the result of ``nl_probe`` on it alone with
+    ``seed``.
     """
     if f.m != m:
         raise ValueError("dimension mismatch")
-    return probe_batch(k, m, [f.tt], iter_budget, limit, rng, check_coset=check_coset)[0]
+    return probe_batch(k, m, [f.tt], iter_budget, limit, seed, check_coset=check_coset)[0]
 
 
 def probe_batch(
@@ -132,139 +132,178 @@ def probe_batch(
     tts: Sequence[int],
     iter_budget: int,
     limit: int,
-    rng: Random,
+    seed: int,
     *,
     check_coset: bool = False,
 ) -> list[ProbeResult]:
     """Probe a batch of truth tables through one shared matrix walk.
 
-    The pivots depend only on the working matrix and the rng, never on the
-    functions, so for a fixed rng a sweep is a GF(2)-linear map of f and all
-    functions can share it.  The state is one uint64 array: the matrix rows,
-    then the functions, one truth table per row of 64-bit words.
+    Row operations only add earlier rows to later ones, so the first r rows
+    span what the first r generator rows span, for every r.  Row r at its
+    draw is therefore the one element of (generator row r + span of the rows
+    before it) clear at the pivots drawn so far in its sweep, and a function
+    after a sweep is the one element of its coset clear at all of them.  A
+    sweep that starts again from the generator rows and the original truth
+    tables thus reaches the rows and functions of one that carries them on:
+    sweep s depends only on its own pivots, drawn from its own stream (see
+    ``_sweep_draws``), never on the sweeps before it.
 
-    A sweep takes the matrix rows in blocks of ``_BLOCK_ROWS``.  Inside a
-    block, as Python ints, row r is eliminated by the block's earlier rows,
-    its pivot is drawn, and it becomes a matrix row; the block also keeps
-    its rows reduced, D_j set at pivot j and clear at the block's other
-    pivots.  Every row below the block, matrix row or function, then gets
-    one numpy update, row ^= sum of row[p_j] * D_j.  That sum makes the only
-    element of row + span(block) that is clear at all of the block's
-    pivots, which is also what eliminating by the block's rows one at a
-    time leaves, so the walk is the row-by-row one.
-
-    A pivot is ``rng.getrandbits(m + 1)`` drawn until it is below 2^m and
-    set in the row, which is the draw of ``rng.randrange(2**m)`` on CPython
-    3.10+; after ``_PIVOT_RETRY_CAP`` in-range misses it is a choice among
-    the row's set bits.  A function's result is frozen at the pass where it
-    first reaches ``limit``; the walk stops once none is left or the budget
-    is spent.
+    The sweeps go in blocks of about ``_BLOCK_BYTES`` of arrays.  ``_walk``
+    takes a block's matrix rows as one array with a leading sweep axis, and
+    ``_reduce`` then brings the functions still live to each sweep's
+    pivots, a quarter of the budget at a time.  A function's result is
+    frozen at the pass where it first reaches ``limit``, and only live
+    functions enter later blocks; the walk stops once none is left or the
+    budget is spent.  No result depends on the block sizes.
     """
     gen = rm_generator_matrix(k, m)
-    n = 1 << m
-    if any(tt >> n for tt in tts):
+    if any(tt >> (1 << m) for tt in tts):
         raise ValueError(f"truth table wider than 2^{m} bits")
-    nrows = gen.nrows
-    count = len(tts)
     nbytes = _row_bytes(m)
-    rows = list(gen.rows)
-    state = _pack([*rows, *tts], nbytes).copy()
-    # the block's reduced rows D_j, packed into one int at these offsets
-    shifts = [8 * nbytes * j for j in range(_BLOCK_ROWS)]
-    ones = sum(1 << shift for shift in shifts)
-    grid = np.zeros((_BLOCK_ROWS // 8, 2, 8, nbytes // 8), dtype=_WORD)
-    bit = [1 << p for p in range(n)]
-    width = m + 1
-    retry_cap = _PIVOT_RETRY_CAP
-    draw = rng.getrandbits
-    best = [tt.bit_count() for tt in tts]
-    passes = [0] * count
-    live = [b for b in range(count) if best[b] > limit]
+    rows = _pack(gen.rows, nbytes)
+    fs = _pack(tts, nbytes)
+    best = np.bitwise_count(fs).sum(axis=1)
+    passes = np.zeros(len(tts), dtype=np.int64)
+    live = np.flatnonzero(best > limit)
     done = 0
-    while live and done < iter_budget:
-        done += 1
-        for lo in range(0, nrows, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, nrows)
-            block = []
-            pivots = []
-            masks = []
-            reduced = 0
-            # the first block's rows are the last sweep's; each later block reads
-            # its rows from the array, where the blocks before it updated them
-            current = rows[:hi] if lo == 0 else _unpack(state[lo:hi], nbytes)
-            for shift, row in zip(shifts, current):
-                for mask, e in zip(masks, block):
-                    if row & mask:
-                        row ^= e
-                misses = 0
-                while True:
-                    p = draw(width)
-                    if p < n:
-                        if row & bit[p]:
-                            break
-                        misses += 1
-                        if misses == retry_cap:
-                            # pathological luck: an explicit choice among the set bits
-                            p = rng.choice(_set_positions(row))
-                            break
-                # clear the pivot from the earlier D_j, one multiply for all of them
-                sel = reduced >> p & ones
-                if sel:
-                    reduced ^= sel * row
-                reduced |= row << shift
-                block.append(row)
-                pivots.append(p)
-                masks.append(bit[p])
-            rows[lo:hi] = block
-            if hi < nrows + count:
-                _eliminate(state[hi:], pivots, reduced, grid)
-        if nrows > _BLOCK_ROWS:
-            state[_BLOCK_ROWS:nrows] = _pack(rows[_BLOCK_ROWS:], nbytes)
-        weights = np.bitwise_count(state[nrows:]).sum(axis=1).tolist()
-        if check_coset:
-            _assert_coset_preserved(rows, _unpack(state[nrows:], nbytes), gen.rows, tts)
-        hit = False
-        for b in live:
-            if weights[b] < best[b]:
-                best[b] = weights[b]
-                if best[b] <= limit:
-                    passes[b] = done
-                    hit = True
-        if hit:
-            live = [b for b in live if best[b] > limit]
-    for b in live:
-        passes[b] = done
-    return [ProbeResult(best[b] <= limit, best[b], passes[b]) for b in range(count)]
+    while live.size and done < iter_budget:
+        # the walk's planes, their update and its (sweeps, rows) arrays
+        sweeps = min(iter_budget - done, max(1, _BLOCK_BYTES // (3 * rows.nbytes)))
+        planes, pivots = _walk(rows, _sweep_draws(seed, done, sweeps, gen.nrows))
+        # tables of 2^width entries for at least as many functions, after
+        # Albrecht, Bard and Hart's choice of log2 of the row count
+        width = max(w for w in (1, 2, 4, 8) if w == 1 or live.size >> w)
+        # a quarter of the budget for the tables, the rows at their pivots,
+        # and the functions with an update
+        per_sweep = ((8 * nbytes // width << width) + 8 * nbytes + 2 * live.size) * nbytes
+        step = max(1, _BLOCK_BYTES // (4 * per_sweep))
+        for lo in range(0, sweeps, step):
+            hi = min(lo + step, sweeps)
+            reduced = _reduce(fs[live], planes[lo:hi], pivots[:, lo:hi], width)
+            if check_coset:
+                for s in range(lo, hi):
+                    _assert_coset_preserved(
+                        _unpack(planes[s].T, nbytes),
+                        _unpack(reduced[s - lo], nbytes),
+                        gen.rows,
+                        [tts[b] for b in live],
+                    )
+            weights = np.bitwise_count(reduced).sum(axis=2)
+            hit = weights <= limit
+            first = hit.argmax(axis=0)
+            hits = hit.any(axis=0)
+            at_first = weights[first, np.arange(live.size)]
+            best[live] = np.where(hits, at_first, np.minimum(best[live], weights.min(axis=0)))
+            passes[live[hits]] = done + lo + first[hits] + 1
+            live = live[~hits]
+            if not live.size:
+                break
+        done += sweeps
+        # free the block before the next walk builds its own
+        del planes, pivots
+    passes[live] = done
+    return [
+        ProbeResult(b <= limit, b, p) for b, p in zip(best.tolist(), passes.tolist())
+    ]
 
 
-def _eliminate(below: np.ndarray, pivots: list[int], reduced: int, grid: np.ndarray) -> None:
-    """below ^= sum of below[p_j] * D_j over a block's pivots p_j and rows D_j.
+def _sweep_draws(seed: int, first: int, sweeps: int, nrows: int) -> np.ndarray:
+    """The uint64 draws of sweeps first, first + 1, ...: (rows, sweeps).
 
-    This is the Four Russians step of M4RI (Albrecht, Bard and Hart, ACM
-    TOMS 37(1), 2010).  The D_j of ``reduced`` go to ``grid[:, 1]``, whose
-    [:, 0] stays zero, and for each 8 of them two doublings and a pair of
-    gathers build the table of all 256 sums; a row of ``below`` then takes
-    one lookup per 8 pivots, indexed by its bits at them.  A short last
-    block pads its pivots with zero byte masks, so those index bits stay clear.
+    Sweep s is seeded by the (s+1)-th output of SplitMix64 from ``seed``
+    (mod 2^64), and its rows take the first ``nrows`` outputs of SplitMix64
+    from that seed.  The stream is computed here, so no numpy version
+    changes it.
     """
-    groups, _, _, nwords = grid.shape
-    pad = [0] * (_BLOCK_ROWS - len(pivots))
-    # the byte of each pivot, then its bit in that byte
-    where = [p >> 3 for p in pivots] + pad + [1 << (p & 7) for p in pivots] + pad
-    where = np.array(where, dtype=np.uint8)
-    bits = below.view(np.uint8)[:, where[:_BLOCK_ROWS]] & where[_BLOCK_ROWS:]
-    index = np.packbits(bits.ravel(), bitorder="little").reshape(-1, groups)
-    raw = reduced.to_bytes(64 * groups * nwords, "little")
-    grid[:, 1] = np.frombuffer(raw, dtype=_WORD).reshape(groups, 8, nwords)
-    t = grid
-    for size in (4, 2):
-        t = (t[:, :, None, 1::2] ^ t[:, None, :, ::2]).reshape(groups, -1, size, nwords)
-    t = t.reshape(-1, nwords)
-    t = (t.take(_HIGH_NIBBLE, axis=0) ^ t.take(_LOW_NIBBLE, axis=0)).reshape(groups, 256, nwords)
-    update = t[0].take(index[:, 0], axis=0)
-    for g in range(1, groups):
-        update ^= t[g].take(index[:, g], axis=0)
-    below ^= update
+    s = np.arange(first + 1, first + sweeps + 1, dtype=np.uint64)
+    state = _splitmix(np.uint64(seed % (1 << 64)) + s * _GAMMA)
+    i = np.arange(1, nrows + 1, dtype=np.uint64)
+    return _splitmix(state + i[:, None] * _GAMMA)
+
+
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 output function, elementwise on a uint64 array."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX[0]
+    z = (z ^ (z >> np.uint64(27))) * _MIX[1]
+    return z ^ (z >> np.uint64(31))
+
+
+def _walk(rows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix rows and pivots of a block of sweeps, one per column of draws.
+
+    Every sweep starts from ``rows``.  Row i of a sweep takes the draw u and
+    pivots at its (u mod c)-th lowest set bit, c its weight, so each set bit
+    comes out with probability within 2^-64 of 1/c.  The row is then
+    eliminated from every other row set at the pivot, the rows before it
+    too: the rows below are what the row-by-row walk leaves, and a sweep
+    ends in reduced echelon form, each row clear at the others' pivots,
+    which is what ``_reduce`` needs.
+
+    The rows are kept as word planes, (sweeps, words, rows), so that an
+    elimination runs along the rows.  Returns them with the pivots,
+    (rows, sweeps).
+    """
+    nrows, sweeps = draws.shape
+    nwords = rows.shape[1]
+    planes = np.repeat(rows.T[None], sweeps, axis=0)
+    flat = planes.reshape(sweeps * nwords, nrows)
+    first_word = np.arange(0, sweeps * nwords, nwords)
+    first_byte = 8 * first_word
+    pivots = np.empty((nrows, sweeps), dtype=np.intp)
+    update = np.empty_like(planes)
+    for i in range(nrows):
+        row = planes[:, :, i].copy()
+        raw = row.view(np.uint8)
+        counts = np.bitwise_count(raw)
+        upto = counts.cumsum(axis=1, dtype=np.uint32)
+        j = draws[i] % upto[:, -1]
+        byte = (upto > j[:, None]).argmax(axis=1)
+        at = first_byte + byte
+        j -= upto.take(at) - counts.take(at)
+        p = pivots[i] = 8 * byte + _SELECT[raw.take(at), j]
+        sel = flat.take(first_word + (p >> 6), axis=0)
+        sel >>= (p & 63).astype(np.uint64)[:, None]
+        sel &= np.uint64(1)
+        planes ^= np.multiply(sel[:, None, :], row[:, :, None], out=update)
+        planes[:, :, i] = row
+    return planes, pivots
+
+
+def _reduce(fs: np.ndarray, planes: np.ndarray, pivots: np.ndarray, width: int) -> np.ndarray:
+    """Every function of ``fs`` reduced by each sweep's rows: (sweeps, len(fs), words).
+
+    A sweep's rows D_i are clear at each other's pivots p_i, so f reduces
+    to f + sum of f[p_i] D_i, read off f itself.  That sum is computed by
+    the Four Russians method of M4RI (Albrecht, Bard and Hart, ACM TOMS
+    37(1), 2010): f is cut into chunks of ``width`` bits, and per sweep and
+    chunk a table of all 2^width sums of the rows pivoted in the chunk,
+    built by doublings, gives the chunk's share in one lookup.  The shares
+    of as many chunks as fit a quarter of ``_BLOCK_BYTES`` are looked up at
+    once.
+    """
+    count, nwords = fs.shape
+    sweeps = len(planes)
+    nbits = 64 * nwords
+    nchunks = nbits // width
+    # the row pivoted at each position, zero at the positions with no pivot
+    at_pivot = np.zeros((sweeps, nbits, nwords), dtype=_WORD)
+    at_pivot[np.arange(sweeps)[:, None], pivots.T] = planes.transpose(0, 2, 1)
+    at_pivot = at_pivot.reshape(sweeps, nchunks, width, nwords).transpose(1, 0, 2, 3)
+    table = np.zeros((nchunks, sweeps, 1 << width, nwords), dtype=_WORD)
+    for j in range(width):
+        np.bitwise_xor(table[:, :, : 1 << j], at_pivot[:, :, j, None], out=table[:, :, 1 << j : 2 << j])
+    table = table.reshape(-1, nwords)
+    shifts = np.arange(0, 8, width, dtype=np.uint8)
+    chunks = fs.view(np.uint8)[:, :, None] >> shifts & (1 << width) - 1
+    chunks = np.ascontiguousarray(chunks.reshape(count, nchunks).T)[:, None]
+    # the entry of value 0 in the table of each chunk and sweep
+    zero = np.arange(0, nchunks * sweeps << width, 1 << width).reshape(nchunks, sweeps, 1)
+    step = max(1, _BLOCK_BYTES // (4 * sweeps * count * (8 * nwords + 8)))
+    out = np.repeat(fs[None], sweeps, axis=0)
+    for c in range(0, nchunks, step):
+        shares = table.take(zero[c : c + step] + chunks[c : c + step], axis=0)
+        out ^= shares[0] if len(shares) == 1 else np.bitwise_xor.reduce(shares, axis=0)
+    return out
 
 
 def _row_bytes(m: int) -> int:
@@ -273,7 +312,7 @@ def _row_bytes(m: int) -> int:
 
 
 def _pack(vals: Sequence[int], nbytes: int) -> np.ndarray:
-    """Truth tables as the rows of a read-only little-endian uint64 array."""
+    """Truth tables as the rows of a little-endian uint64 array."""
     raw = b"".join(v.to_bytes(nbytes, "little") for v in vals)
     return np.frombuffer(raw, dtype=_WORD).reshape(len(vals), nbytes // 8)
 
@@ -282,15 +321,6 @@ def _unpack(words: np.ndarray, nbytes: int) -> list[int]:
     """The rows of a ``_pack``ed array as ints."""
     raw = words.tobytes()
     return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
-
-
-def _set_positions(val: int) -> list[int]:
-    positions = []
-    while val:
-        low = val & -val
-        positions.append(low.bit_length() - 1)
-        val ^= low
-    return positions
 
 
 def _assert_coset_preserved(rows_now, fs_now, orig_rows, orig_tts):
@@ -403,7 +433,7 @@ def relative_rho(
     reps,
     *,
     probe_iter: int = 1 << 16,
-    rng: Optional[Random] = None,
+    seed: int = 0,
 ) -> tuple[int, bool]:
     """Covering radius of RM(k,m) relative to RM(t,m), over representatives.
 
@@ -415,7 +445,6 @@ def relative_rho(
         return 0, True
     if tuple(reps.space.params) != (k + 1, t, m):
         raise ValueError(f"representatives must classify ({k + 1},{t},{m})")
-    rng = rng or Random(0)
     certified = True
     value = 0
     for fn in reps.rep_functions():
@@ -424,7 +453,7 @@ def relative_rho(
             nl = exact_nonlinearity(k, m, lift)
         except InfeasibleError:
             certified = False
-            nl = nl_probe(k, m, lift, probe_iter, 0, rng).best_weight
+            nl = nl_probe(k, m, lift, probe_iter, 0, seed).best_weight
         if nl > value:
             value = nl
     return value, certified
@@ -598,7 +627,7 @@ def scan_representatives(
     of weight at most ``limit`` and those where the budget found none.  All
     functions of the scan ride one matrix walk seeded by ``seed`` (see
     ``_ScanWalk.results``), so every entry equals ``nl_probe`` on it alone
-    under ``Random(seed)``, whatever the chunking or the number of jobs.
+    with ``seed``, whatever the chunking or the number of jobs.
     """
     m = reps.space.m
     walk = _ScanWalk(
@@ -643,16 +672,17 @@ class _ScanWalk:
         for j in chunk:
             idx, shift = self.origin(j)
             tts.append(self.lifts[idx] if shift is None else self.lifts[idx] ^ (1 << shift))
-        return probe_batch(self.k, self.m, tts, self.iter_budget, self.limit, Random(self.seed))
+        return probe_batch(self.k, self.m, tts, self.iter_budget, self.limit, self.seed)
 
     def results(self, jobs: int) -> list[ProbeResult]:
         """The result of every function, in order, probed chunk by chunk.
 
         The functions are cut into near-equal chunks of at most
         ``_CHUNK_BITS`` packed bits, and into at least ``jobs`` chunks while
-        there are that many functions; each chunk is probed under a fresh
-        ``Random(seed)``.  A function's result depends only on the walk up
-        to its first hit, so it does not depend on the chunking.
+        there are that many functions; each chunk is probed with ``seed``.
+        A function's result depends only on the sweeps up to its first hit,
+        each drawn from (seed, sweep index), so it does not depend on the
+        chunking.
         """
         n = len(self)
         pieces = max(-(-n // max(1, _CHUNK_BITS // (8 * _row_bytes(self.m)))), min(jobs, n))

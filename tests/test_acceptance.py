@@ -175,8 +175,8 @@ class TestAcceptance:
         r14 = covering_radius_exact(1, 4)
         r15 = covering_radius_exact(1, 5)
         bent = parse_function("ab+cd", 4)
-        hit = nl_probe(1, 4, bent, 10**6, 6, random.Random(61))
-        miss = nl_probe(1, 4, bent, 10**6, 5, random.Random(62))
+        hit = nl_probe(1, 4, bent, 10**6, 6, 61)
+        miss = nl_probe(1, 4, bent, 10**6, 5, 62)
         ok = (
             r14 == 6
             and r15 == 12
@@ -195,8 +195,8 @@ class TestAcceptance:
     def test_c7_probe_scale_m8(self):
         cubic = parse_function(CUBIC_13_TERMS, 8)
         quintic = parse_function(QUINTIC_12_TERMS, 8)
-        r2 = nl_probe(2, 8, cubic, 10**6, 88, random.Random(1))
-        r4 = nl_probe(4, 8, quintic, 10**6, 26, random.Random(1))
+        r2 = nl_probe(2, 8, cubic, 10**6, 88, 1)
+        r4 = nl_probe(4, 8, quintic, 10**6, 26, 1)
         ok = r2.found and r4.found
         report(
             "C7",
@@ -299,13 +299,14 @@ class TestAcceptance:
         # probe keeps its working function inside the original coset
         for _ in range(3):
             f = BooleanFunction(4, rng.getrandbits(16))
-            nl_probe(2, 4, f, 8, 0, rng, check_coset=True)
+            nl_probe(2, 4, f, 8, 0, rng.getrandbits(32), check_coset=True)
         f8 = BooleanFunction(8, rng.getrandbits(256))
-        nl_probe(2, 8, f8, 3, 0, rng, check_coset=True)
+        nl_probe(2, 8, f8, 3, 0, rng.getrandbits(32), check_coset=True)
         # a batch checks every function against its own coset
-        probe_batch(2, 4, [rng.getrandbits(16) for _ in range(6)], 8, 0, rng, check_coset=True)
-        probe_batch(2, 8, [f8.tt ^ (1 << a) for a in range(0, 256, 51)], 3, 0, rng,
+        probe_batch(2, 4, [rng.getrandbits(16) for _ in range(6)], 8, 0, rng.getrandbits(32),
                     check_coset=True)
+        probe_batch(2, 8, [f8.tt ^ (1 << a) for a in range(0, 256, 51)], 3, 0,
+                    rng.getrandbits(32), check_coset=True)
 
         # signature digest guard
         sub = orbit_enumerate(1, 2, 3)

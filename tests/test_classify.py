@@ -525,6 +525,21 @@ class TestFiles:
         with pytest.raises(ValueError, match="c.cls:3: second space header"):
             load_classification(str(path))
 
+    @pytest.mark.parametrize("header", ["digest", "provenance"])
+    @pytest.mark.parametrize("forged_first", [True, False])
+    def test_second_digest_or_provenance_header_refused(self, sub123, tmp_path, header, forged_first):
+        # a forged line before the true one would otherwise be replaced by it,
+        # and one after it would win; either way the file is refused
+        path = tmp_path / "c.cls"
+        save_classification(sub123, str(path))
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"#%{header}"))
+        forged = "#%digest 0000000000000000" if header == "digest" else "#%provenance forged"
+        lines.insert(at if forged_first else at + 1, forged)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"c.cls:{at + 2}: second {header} header"):
+            load_classification(str(path))
+
     @pytest.mark.parametrize("record", ["G 1,2,4;0", "R 0 - ab", "S 0 -"])
     def test_record_before_space_header_refused(self, tmp_path, record):
         path = tmp_path / "c.cls"
