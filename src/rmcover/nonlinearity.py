@@ -22,14 +22,17 @@ from .group import gf2_rank
 
 DEFAULT_ENUM_GUARD = 1 << 22
 DEFAULT_COSET_GUARD = 1 << 26
-# bytes of arrays per block of a probe walk: the sweeps of a block, and the
-# sweeps and chunks reduced at once, take their number from it
+# bytes of arrays a step of the probe builds: the sweeps of a walk's block,
+# the sweeps reduced at once and the table groups looked up at once take
+# their number from it
 _BLOCK_BYTES = 1 << 20
 _WORD = np.dtype("<u8")
 # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014), the probe's pivot draws
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
-# _SELECT[b, r]: the position of the r-th lowest set bit of the byte b
+# _BIT[b]: the byte with bit b set; _SELECT[b, r]: the position of the r-th
+# lowest set bit of the byte b
+_BIT = np.uint8(1) << np.arange(8, dtype=np.uint8)
 _SELECT = np.array(
     [[p for p in range(8) if b >> p & 1] + [0] * (8 - b.bit_count()) for b in range(256)],
     dtype=np.intp,
@@ -148,13 +151,13 @@ def probe_batch(
     sweep s depends only on its own pivots, drawn from its own stream (see
     ``_sweep_draws``), never on the sweeps before it.
 
-    The sweeps go in blocks of about ``_BLOCK_BYTES`` of arrays.  ``_walk``
-    takes a block's matrix rows as one array with a leading sweep axis, and
-    ``_reduce`` then brings the functions still live to each sweep's
-    pivots, a quarter of the budget at a time.  A function's result is
-    frozen at the pass where it first reaches ``limit``, and only live
-    functions enter later blocks; the walk stops once none is left or the
-    budget is spent.  No result depends on the block sizes.
+    The sweeps go in blocks: ``_walk`` takes a block's matrix rows as one
+    array with a leading sweep axis, and ``_reduce`` then brings the
+    functions still live to each sweep's pivots, a few sweeps at a time.  A
+    function's result is frozen at the pass where it first reaches
+    ``limit``, and only live functions are reduced in later sweeps; the walk
+    stops once none is left or the budget is spent.  Each step sizes its own
+    arrays to about ``_BLOCK_BYTES``, and no result depends on the sizes.
     """
     gen = rm_generator_matrix(k, m)
     if any(tt >> (1 << m) for tt in tts):
@@ -167,19 +170,12 @@ def probe_batch(
     live = np.flatnonzero(best > limit)
     done = 0
     while live.size and done < iter_budget:
-        # the walk's planes, their update and its (sweeps, rows) arrays
-        sweeps = min(iter_budget - done, max(1, _BLOCK_BYTES // (3 * rows.nbytes)))
-        planes, pivots = _walk(rows, _sweep_draws(seed, done, sweeps, gen.nrows))
-        # tables of 2^width entries for at least as many functions, after
-        # Albrecht, Bard and Hart's choice of log2 of the row count
-        width = max(w for w in (1, 2, 4, 8) if w == 1 or live.size >> w)
-        # a quarter of the budget for the tables, the rows at their pivots,
-        # and the functions with an update
-        per_sweep = ((8 * nbytes // width << width) + 8 * nbytes + 2 * live.size) * nbytes
-        step = max(1, _BLOCK_BYTES // (4 * per_sweep))
-        for lo in range(0, sweeps, step):
-            hi = min(lo + step, sweeps)
-            reduced = _reduce(fs[live], planes[lo:hi], pivots[:, lo:hi], width)
+        planes, pivots = _walk(rows, seed, done, iter_budget)
+        # a quarter of the budget for the reduced functions of a step
+        step = max(1, _BLOCK_BYTES // (4 * live.size * nbytes))
+        for lo in range(0, len(planes), step):
+            hi = min(lo + step, len(planes))
+            reduced = _reduce(fs[live], planes[lo:hi], pivots[:, lo:hi])
             if check_coset:
                 for s in range(lo, hi):
                     _assert_coset_preserved(
@@ -198,7 +194,7 @@ def probe_batch(
             live = live[~hits]
             if not live.size:
                 break
-        done += sweeps
+        done += len(planes)
         # free the block before the next walk builds its own
         del planes, pivots
     passes[live] = done
@@ -228,10 +224,14 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _walk(rows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix rows and pivots of a block of sweeps, one per column of draws.
+def _walk(rows: np.ndarray, seed: int, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix rows and pivots of a block of sweeps from ``first`` on.
 
-    Every sweep starts from ``rows``.  Row i of a sweep takes the draw u and
+    The block holds as many sweeps, up to ``last``, as fit ``_BLOCK_BYTES``
+    and at least one; per sweep its arrays take two copies of the rows (the
+    planes and their update), six bytes per byte of a row for the pivot
+    choice and three words per row.  Every sweep starts from ``rows`` and
+    draws from ``_sweep_draws``.  Row i of a sweep takes the draw u and
     pivots at its (u mod c)-th lowest set bit, c its weight, so each set bit
     comes out with probability within 2^-64 of 1/c.  The row is then
     eliminated from every other row set at the pivot, the rows before it
@@ -243,8 +243,10 @@ def _walk(rows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     elimination runs along the rows.  Returns them with the pivots,
     (rows, sweeps).
     """
-    nrows, sweeps = draws.shape
-    nwords = rows.shape[1]
+    nrows, nwords = rows.shape
+    per_sweep = 2 * rows.nbytes + 6 * 8 * nwords + 24 * nrows
+    sweeps = min(last - first, max(1, _BLOCK_BYTES // per_sweep))
+    draws = _sweep_draws(seed, first, sweeps, nrows)
     planes = np.repeat(rows.T[None], sweeps, axis=0)
     flat = planes.reshape(sweeps * nwords, nrows)
     first_word = np.arange(0, sweeps * nwords, nwords)
@@ -269,40 +271,52 @@ def _walk(rows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return planes, pivots
 
 
-def _reduce(fs: np.ndarray, planes: np.ndarray, pivots: np.ndarray, width: int) -> np.ndarray:
+def _reduce(fs: np.ndarray, planes: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     """Every function of ``fs`` reduced by each sweep's rows: (sweeps, len(fs), words).
 
     A sweep's rows D_i are clear at each other's pivots p_i, so f reduces
     to f + sum of f[p_i] D_i, read off f itself.  That sum is computed by
     the Four Russians method of M4RI (Albrecht, Bard and Hart, ACM TOMS
-    37(1), 2010): f is cut into chunks of ``width`` bits, and per sweep and
-    chunk a table of all 2^width sums of the rows pivoted in the chunk,
-    built by doublings, gives the chunk's share in one lookup.  The shares
-    of as many chunks as fit a quarter of ``_BLOCK_BYTES`` are looked up at
-    once.
+    37(1), 2010): a sweep's rows go in groups of ``width``, in row order,
+    each group with a table of all 2^width sums of its rows built by
+    doublings, and f takes one lookup per group, indexed by its bits at the
+    group's pivots.  The width follows the batch: the largest of 1, 2, 4
+    and 8 with 2^width at most the function count and width at most the
+    row count, after Albrecht, Bard and Hart's choice of log2 of the row
+    count; the rows left over make one narrower group.  So the tables grow
+    with the rows, not with the truth tables' length.  Per sweep, a group
+    takes its table, one looked-up row per function and a few bytes per
+    function for the index; as many groups go at once as fit half of
+    ``_BLOCK_BYTES``, and at least one.
     """
     count, nwords = fs.shape
-    sweeps = len(planes)
-    nbits = 64 * nwords
-    nchunks = nbits // width
-    # the row pivoted at each position, zero at the positions with no pivot
-    at_pivot = np.zeros((sweeps, nbits, nwords), dtype=_WORD)
-    at_pivot[np.arange(sweeps)[:, None], pivots.T] = planes.transpose(0, 2, 1)
-    at_pivot = at_pivot.reshape(sweeps, nchunks, width, nwords).transpose(1, 0, 2, 3)
-    table = np.zeros((nchunks, sweeps, 1 << width, nwords), dtype=_WORD)
-    for j in range(width):
-        np.bitwise_xor(table[:, :, : 1 << j], at_pivot[:, :, j, None], out=table[:, :, 1 << j : 2 << j])
-    table = table.reshape(-1, nwords)
-    shifts = np.arange(0, 8, width, dtype=np.uint8)
-    chunks = fs.view(np.uint8)[:, :, None] >> shifts & (1 << width) - 1
-    chunks = np.ascontiguousarray(chunks.reshape(count, nchunks).T)[:, None]
-    # the entry of value 0 in the table of each chunk and sweep
-    zero = np.arange(0, nchunks * sweeps << width, 1 << width).reshape(nchunks, sweeps, 1)
-    step = max(1, _BLOCK_BYTES // (4 * sweeps * count * (8 * nwords + 8)))
+    sweeps, _, nrows = planes.shape
+    width = max(w for w in (1, 2, 4, 8) if w == 1 or (count >> w and w <= nrows))
+    per_group = sweeps * (8 * nwords * ((1 << width) + count) + (8 + 3 * width) * count)
+    step = width * max(1, _BLOCK_BYTES // (2 * per_group))
+    # steps of whole groups, then the rows left over as one narrower group
+    full = nrows - nrows % width
+    steps = [(lo, min(lo + step, full), width) for lo in range(0, full, step)]
+    if full < nrows:
+        steps.append((full, nrows, nrows - full))
+    # the bytes of the functions, one row per byte position
+    raw = np.ascontiguousarray(fs.view(np.uint8).T)
     out = np.repeat(fs[None], sweeps, axis=0)
-    for c in range(0, nchunks, step):
-        shares = table.take(zero[c : c + step] + chunks[c : c + step], axis=0)
-        out ^= shares[0] if len(shares) == 1 else np.bitwise_xor.reduce(shares, axis=0)
+    for lo, hi, w in steps:
+        groups = (hi - lo) // w
+        # row j of each group, (groups, sweeps, words), doubles its tables
+        rows = planes[:, :, lo:hi].reshape(sweeps, nwords, groups, w).transpose(2, 0, 3, 1)
+        table = np.zeros((groups, sweeps, 1 << w, nwords), dtype=_WORD)
+        for j in range(w):
+            np.bitwise_xor(table[:, :, : 1 << j], rows[:, :, j, None], out=table[:, :, 1 << j : 2 << j])
+        # a function's index in its group's table has bit j set when the
+        # function is set at the group's j-th pivot: (groups, sweeps, functions)
+        at = pivots[lo:hi].reshape(groups, w, sweeps)
+        bits = (raw[at >> 3] & _BIT[at & 7, None]) != 0
+        index = np.bitwise_or.reduce(bits * _BIT[:w, None, None], axis=1)
+        index = index + np.arange(0, groups * sweeps << w, 1 << w).reshape(groups, sweeps, 1)
+        shares = table.reshape(-1, nwords).take(index, axis=0)
+        out ^= shares[0] if groups == 1 else np.bitwise_xor.reduce(shares, axis=0)
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,7 +293,7 @@ def _triples(results):
 
 def _first_sweep_pivots(k, m, seed):
     rows = nonlinearity._pack(rm_generator_matrix(k, m).rows, nonlinearity._row_bytes(m))
-    _, pivots = nonlinearity._walk(rows, nonlinearity._sweep_draws(seed, 0, 1, len(rows)))
+    _, pivots = nonlinearity._walk(rows, seed, 0, 1)
     return pivots[:, 0].tolist()
 
 
@@ -360,9 +361,13 @@ class TestProbeKernel:
         want = [probe_batch(*case) for case in cases]
         walked = []
         walk = nonlinearity._walk
-        monkeypatch.setattr(
-            nonlinearity, "_walk", lambda rows, draws: walked.append(draws.shape[1]) or walk(rows, draws)
-        )
+
+        def spy(*args):
+            planes, pivots = walk(*args)
+            walked.append(len(planes))
+            return planes, pivots
+
+        monkeypatch.setattr(nonlinearity, "_walk", spy)
         monkeypatch.setattr(nonlinearity, "_BLOCK_BYTES", budget)
         for case, results in zip(cases, want):
             walked.clear()
@@ -377,9 +382,9 @@ class TestProbeKernel:
         reduced = []
         reduce = nonlinearity._reduce
 
-        def spy(fs, planes, pivots, width):
+        def spy(fs, planes, pivots):
             reduced.append(set(nonlinearity._unpack(fs, 8 * fs.shape[1])))
-            return reduce(fs, planes, pivots, width)
+            return reduce(fs, planes, pivots)
 
         monkeypatch.setattr(nonlinearity, "_reduce", spy)
         tts = sorted(set(_near_code_batch(2, 6, 40, random.Random(11))))
@@ -405,6 +410,23 @@ class TestProbeKernel:
         assert probe_batch(0, 16, tts, 3, 32700, 5) == want
         assert len({r.passes_used for r in want}) == 3
 
+    @pytest.mark.parametrize("k, m", [(2, 12), (1, 14), (0, 16)])
+    def test_memory_follows_rows_and_batch(self, k, m):
+        # the tables are keyed by the rows' pivots, not by the 2^m positions:
+        # at 256 functions (tables of width 8) the traced peak stays within
+        # a few copies of the batch and the block budget
+        rng = random.Random(m)
+        tts = [rng.getrandbits(1 << m) for _ in range(256)]
+        rm_generator_matrix(k, m)
+        tracemalloc.start()
+        try:
+            probe_batch(k, m, tts, 2, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        batch = len(tts) << m >> 3
+        assert peak < 2 * nonlinearity._BLOCK_BYTES + 8 * batch, peak
+
     def test_first_sweep_pivots_pinned(self):
         # the draws fix every seeded probe and scan report: a change to the
         # bit stream, or to how a draw picks a set bit, must fail here
@@ -412,10 +434,10 @@ class TestProbeKernel:
         assert _first_sweep_pivots(4, 8, 1) == PINNED_K4
 
     def test_golden_m8(self):
-        # the reference walk's results, pinned: both run the budget out
+        # the reference walk's results, pinned: one hit on pass 2, one late
         tts = [parse_function(QUINTIC, 8).tt, _b568_element(1)]
-        got = probe_batch(4, 8, tts, 96, 32, 1)
-        assert _triples(got) == [(False, 36, 96), (False, 36, 96)]
+        got = probe_batch(4, 8, tts, 96, 34, 3)
+        assert _triples(got) == [(True, 34, 2), (True, 34, 82)]
 
     def test_golden_m6(self):
         base = random.Random(1).getrandbits(64)
