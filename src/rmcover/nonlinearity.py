@@ -278,44 +278,47 @@ def _reduce(fs: np.ndarray, planes: np.ndarray, pivots: np.ndarray) -> np.ndarra
     to f + sum of f[p_i] D_i, read off f itself.  That sum is computed by
     the Four Russians method of M4RI (Albrecht, Bard and Hart, ACM TOMS
     37(1), 2010): a sweep's rows go in groups of ``width``, in row order,
-    each group with a table of all 2^width sums of its rows built by
-    doublings, and f takes one lookup per group, indexed by its bits at the
-    group's pivots.  The width follows the batch: the largest of 1, 2, 4
-    and 8 with 2^width at most the function count and width at most the
-    row count, after Albrecht, Bard and Hart's choice of log2 of the row
-    count; the rows left over make one narrower group.  So the tables grow
-    with the rows, not with the truth tables' length.  Per sweep, a group
-    takes its table, one looked-up row per function and a few bytes per
-    function for the index; as many groups go at once as fit half of
-    ``_BLOCK_BYTES``, and at least one.
+    each group with a table of all 2^width sums of its rows, and f takes
+    one lookup per group, indexed by its bits at the group's pivots.  The
+    width follows the batch: the largest of 1, 2, 4 and 8 with 2^width at
+    most the function count and width at most the row count, after
+    Albrecht, Bard and Hart's choice of log2 of the row count.  So the
+    tables grow with the rows, not with the truth tables' length.  Per
+    sweep, a group takes its table, one looked-up row per function and a
+    few bytes per function for the index; as many groups go at once as fit
+    half of ``_BLOCK_BYTES``, and at least one.
     """
     count, nwords = fs.shape
     sweeps, _, nrows = planes.shape
     width = max(w for w in (1, 2, 4, 8) if w == 1 or (count >> w and w <= nrows))
     per_group = sweeps * (8 * nwords * ((1 << width) + count) + (8 + 3 * width) * count)
     step = width * max(1, _BLOCK_BYTES // (2 * per_group))
-    # steps of whole groups, then the rows left over as one narrower group
-    full = nrows - nrows % width
-    steps = [(lo, min(lo + step, full), width) for lo in range(0, full, step)]
-    if full < nrows:
-        steps.append((full, nrows, nrows - full))
     # the bytes of the functions, one row per byte position
     raw = np.ascontiguousarray(fs.view(np.uint8).T)
     out = np.repeat(fs[None], sweeps, axis=0)
-    for lo, hi, w in steps:
-        groups = (hi - lo) // w
-        # row j of each group, (groups, sweeps, words), doubles its tables
-        rows = planes[:, :, lo:hi].reshape(sweeps, nwords, groups, w).transpose(2, 0, 3, 1)
-        table = np.zeros((groups, sweeps, 1 << w, nwords), dtype=_WORD)
-        for j in range(w):
-            np.bitwise_xor(table[:, :, : 1 << j], rows[:, :, j, None], out=table[:, :, 1 << j : 2 << j])
+    for lo in range(0, nrows, step):
+        rows, at = planes[:, :, lo : lo + step], pivots[lo : lo + step]
+        groups = -(-len(at) // width)
+        if pad := groups * width - len(at):
+            # zero rows, pivoted anywhere, fill the last group
+            rows = np.concatenate([rows, np.zeros((sweeps, nwords, pad), dtype=_WORD)], axis=2)
+            at = np.concatenate([at, np.zeros((pad, sweeps), dtype=at.dtype)])
+        # the tables [0, row j] of each group and sweep, paired off into one
+        # of 2^width entries, entry v the sum of the rows j set in v
+        table = np.zeros((groups, sweeps, width, 2, nwords), dtype=_WORD)
+        table[:, :, :, 1] = rows.reshape(sweeps, nwords, groups, width).transpose(2, 0, 3, 1)
+        while table.shape[2] > 1:
+            size = table.shape[3]
+            table = table[:, :, 1::2, :, None] ^ table[:, :, ::2, None]
+            table = table.reshape(groups, sweeps, -1, size * size, nwords)
         # a function's index in its group's table has bit j set when the
         # function is set at the group's j-th pivot: (groups, sweeps, functions)
-        at = pivots[lo:hi].reshape(groups, w, sweeps)
+        at = at.reshape(groups, width, sweeps)
         bits = (raw[at >> 3] & _BIT[at & 7, None]) != 0
-        index = np.bitwise_or.reduce(bits * _BIT[:w, None, None], axis=1)
-        index = index + np.arange(0, groups * sweeps << w, 1 << w).reshape(groups, sweeps, 1)
-        shares = table.reshape(-1, nwords).take(index, axis=0)
+        index = np.bitwise_or.reduce(bits * _BIT[:width, None, None], axis=1)
+        # plus the place of the group's and sweep's table in the flat array
+        first = np.arange(0, groups * sweeps << width, 1 << width)
+        shares = table.reshape(-1, nwords).take(index + first.reshape(groups, sweeps, 1), axis=0)
         out ^= shares[0] if groups == 1 else np.bitwise_xor.reduce(shares, axis=0)
     return out
 
