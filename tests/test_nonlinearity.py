@@ -417,6 +417,7 @@ class TestProbeKernel:
         # a few copies of the batch and the block budget
         rng = random.Random(m)
         tts = [rng.getrandbits(1 << m) for _ in range(256)]
+        # the generator matrix is cached before the trace starts
         rm_generator_matrix(k, m)
         tracemalloc.start()
         try:
