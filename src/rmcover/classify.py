@@ -33,6 +33,8 @@ from .group import (
     gf2_reduce,
     identity,
     invert,
+    subset_tables,
+    xor_lookup,
 )
 from .invariant import class_maps, j_hat_signatures
 from .quotient import (
@@ -40,7 +42,6 @@ from .quotient import (
     QuotientSpace,
     action_matrix,
     apply_key,
-    byte_tables,
     lower_window,
     multiply_affine_form,
     quotient_space,
@@ -123,13 +124,6 @@ class Classification:
 # --- exact orbit enumeration ------------------------------------------------
 
 
-def _apply_tables(keys: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    acc = tables[0][keys & 255]
-    for c in range(1, len(tables)):
-        acc = acc ^ tables[c][(keys >> (8 * c)) & 255]
-    return acc
-
-
 _SCAN_BLOCK = 1 << 12
 
 
@@ -155,9 +149,10 @@ def _walk_orbit(
 ) -> int:
     """Write value over the orbit of start, found by a frontier BFS; return its size.
 
-    The orbit must be unlabeled (negative) when the walk begins.  Each table
-    is a bijection and its fresh images are labeled before the next table
-    runs, so the frontier never holds a key twice.
+    Each of ``tables`` is the ``subset_tables`` of one map, key byte c
+    indexing group c.  The orbit must be unlabeled (negative) when the walk
+    begins.  Each map is a bijection and its fresh images are labeled
+    before the next map runs, so the frontier never holds a key twice.
     """
     labels[start] = value
     frontier = np.array([start], dtype=np.int64)
@@ -165,7 +160,7 @@ def _walk_orbit(
     while frontier.size:
         parts = []
         for tab in tables:
-            img = _apply_tables(frontier, tab)
+            img = xor_lookup(tab, ((frontier >> (8 * c)) & 255 for c in range(len(tab))))
             fresh = img[labels[img] < 0]
             if fresh.size:
                 labels[fresh] = value
@@ -199,7 +194,9 @@ def orbit_enumerate(
         )
     gens = list(generators) if generators is not None else agl_generators(m)
     images_per_gen = [action_matrix(space, g) for g in gens]
-    tables = [byte_tables(images, space.dim) for images in images_per_gen]
+    tables = [
+        subset_tables(np.array(images, dtype=np.int64), 8) for images in images_per_gen
+    ]
 
     lookup = np.full(n, -1, dtype=np.int32)
     reps: list[int] = []
@@ -376,11 +373,8 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
                     f"stabilizer generator of class {g_idx} does not fix its "
                     "representative"
                 )
-            tables.append(
-                byte_tables(
-                    [compress(gf2_reduce(images[q], basis)) for q in free], len(free)
-                )
-            )
+            moved = [compress(gf2_reduce(images[q], basis)) for q in free]
+            tables.append(subset_tables(np.array(moved, dtype=np.int64), 8))
 
         labels = np.full(1 << len(free), -1, dtype=np.int8)
         for start in _unlabeled(labels):

@@ -17,7 +17,6 @@ from . import __version__
 from . import boolfun as bf
 from .classify import (
     DEFAULT_BUDGET_RETRIES,
-    DEFAULT_SPACE_GUARD,
     SpaceTooLargeError,
     classify_pipeline,
     load_classification,
@@ -127,14 +126,7 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_oracle(args) -> int:
-    s, t, m = args.s, args.t, args.m
-    cls = orbit_enumerate(
-        s,
-        t,
-        m,
-        stabilizers=args.stabilizers,
-        space_guard=args.guard,
-    )
+    cls = orbit_enumerate(args.s, args.t, args.m)
     save_classification(cls, args.out)
     print(f"classes {cls.n_classes} -> {args.out}")
     return 0
@@ -306,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--guard", type=int, default=DEFAULT_SPACE_GUARD)
-    p.add_argument("--no-stabilizers", dest="stabilizers", action="store_false")
     p.set_defaults(func=_cmd_oracle)
 
     p = subs.add_parser("classify", help="cover set + invariant + equivalence pipeline")

@@ -3,6 +3,8 @@
 Matrices are tuples of int row masks: bit j of rows[i] is the entry in row i,
 column j.  Vectors are plain ints (bit j = coordinate j+1).  An affine map
 s = (A, a) acts on points by s(x) = A*x + a and must have invertible A.
+Batches go through a linear map by the Four Russians method
+(``subset_tables``, ``xor_lookup``).
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class SingularMatrixError(ValueError):
@@ -102,6 +106,41 @@ def invert_rows(rows: Sequence[int], m: int) -> tuple[int, ...]:
                 work[r] ^= work[col]
                 inv[r] ^= inv[col]
     return tuple(inv)
+
+
+def subset_tables(rows: np.ndarray, width: int) -> np.ndarray:
+    """Four Russians tables of a GF(2)-linear map: (groups, 2^width, ...).
+
+    Row j of the integer array ``rows`` is the image of input bit j, a
+    scalar or an array.  The rows go in groups of ``width``, zero rows
+    filling the last group, and entry v of group g is the XOR of the rows
+    g*width + j over the bits j of v; an input's image is the XOR of one
+    entry per group, at its bits of that group (``xor_lookup``).  This is
+    the method of M4RI (Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+    """
+    groups = max(1, -(-len(rows) // width))
+    tables = np.zeros((groups, 1 << width) + rows.shape[1:], dtype=rows.dtype)
+    for j in range(width):
+        # entries with top bit j: those below it plus row j, where a group has one
+        below, above, has = tables[:, : 1 << j], tables[:, 1 << j : 2 << j], len(rows[j::width])
+        np.bitwise_xor(below[:has], rows[j::width, None], out=above[:has])
+        above[has:] = below[has:]
+    return tables
+
+
+def xor_lookup(tables: np.ndarray, indices: Iterable, out: Optional[np.ndarray] = None):
+    """The XOR over the groups of ``tables`` of one entry each, into ``out`` if given.
+
+    ``indices`` gives each group's index array in turn, so a caller can make
+    them one group at a time; the result has the indices' shape followed by
+    the entries'.
+    """
+    for table, index in zip(tables, indices):
+        if out is None:
+            out = table.take(index, axis=0)
+        else:
+            out ^= table.take(index, axis=0)
+    return out
 
 
 @dataclass(frozen=True)

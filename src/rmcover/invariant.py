@@ -7,8 +7,9 @@ and the distribution of its integer Walsh-Hadamard transform are invariant
 under the affine action; they are the workhorse filters of the classifier.
 
 For a fixed direction v, f -> key of restrict(D_v f, v) is GF(2)-linear on
-window keys, so all directions of a batch of keys are read off one byte
-table per key byte (``derivative_tables``).
+window keys, so all directions of a batch of keys are read off the Four
+Russians tables of ``group.subset_tables``, one group per key byte
+(``derivative_tables``).
 """
 
 from __future__ import annotations
@@ -20,13 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .boolfun import wht
-from .quotient import (
-    QuotientFunction,
-    QuotientSpace,
-    byte_tables,
-    lower_window,
-    quotient_space,
-)
+from .group import subset_tables, xor_lookup
+from .quotient import QuotientFunction, QuotientSpace, lower_window, quotient_space
 
 
 @dataclass(frozen=True)
@@ -66,12 +62,12 @@ def _derived_key(mask: int, v: int, sub: QuotientSpace) -> int:
 
 @lru_cache(maxsize=None)
 def derivative_tables(s: int, t: int, m: int) -> np.ndarray:
-    """Byte tables of the derived sub keys of the (s, t, m) window.
+    """Tables of the derived sub keys of the (s, t, m) window, by key byte.
 
-    Entry [c, b, v] is the (s-1, t-1, m-1) key of restrict(D_v f, v) for
-    the f whose key is byte value b at key byte c and zero elsewhere;
-    direction 0 maps to the zero key.  The array is shared by every caller
-    and read-only.
+    The ``subset_tables`` of the map, 8 key bits to a group: entry [c, b, v]
+    is the (s-1, t-1, m-1) key of restrict(D_v f, v) for the f whose key is
+    byte value b at key byte c and zero elsewhere; direction 0 maps to the
+    zero key.  The array is shared by every caller and read-only.
     """
     space = quotient_space(s, t, m)
     sub = quotient_space(*lower_window(s, t, m))
@@ -80,7 +76,7 @@ def derivative_tables(s: int, t: int, m: int) -> np.ndarray:
     images = np.zeros((space.dim, 1 << m), dtype=np.int64)
     for j, mask in enumerate(space.masks):
         images[j, 1:] = [_derived_key(mask, v, sub) for v in range(1, 1 << m)]
-    tables = byte_tables(images, space.dim)
+    tables = subset_tables(images, 8)
     tables.setflags(write=False)
     return tables
 
@@ -89,18 +85,16 @@ def derived_keys(space: QuotientSpace, keys: Sequence[int]) -> np.ndarray:
     """Keys of restrict(D_v f, v) for a batch of window keys, all v at once.
 
     Row i, column v holds the (s-1, t-1, m-1) key derived from keys[i] along
-    v: one gather per key byte and one XOR.  The window keys may be wider
-    than 63 bits, so they are split into bytes in Python.
+    v: ``xor_lookup`` indexes each group of the tables by one key byte.  The
+    window keys may be wider than 63 bits, so they are split into bytes in
+    Python.
     """
     tables = derivative_tables(*space.params)
     nbytes = len(tables)
     parts = np.frombuffer(
         b"".join(key.to_bytes(nbytes, "little") for key in keys), dtype=np.uint8
     ).reshape(len(keys), nbytes)
-    derived = tables[0][parts[:, 0]]
-    for c in range(1, nbytes):
-        derived ^= tables[c][parts[:, c]]
-    return derived
+    return xor_lookup(tables, parts.T)
 
 
 def class_maps(space: QuotientSpace, keys: Sequence[int], sub) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import boolfun as bf
 from .boolfun import BooleanFunction
-from .group import gf2_rank
+from .group import gf2_rank, subset_tables, xor_lookup
 
 DEFAULT_ENUM_GUARD = 1 << 22
 DEFAULT_COSET_GUARD = 1 << 26
@@ -68,15 +68,7 @@ def rm_generator_matrix(k: int, m: int) -> GeneratorMatrix:
     if not 0 <= k <= m:
         raise ValueError(f"order must be within 0..{m}")
     masks = sorted(range(1 << m), key=lambda s: (s.bit_count(), s))
-    rows = []
-    for mask in masks:
-        if mask.bit_count() > k:
-            continue
-        tt = 0
-        for x in range(1 << m):
-            if x & mask == mask:
-                tt |= 1 << x
-        rows.append(tt)
+    rows = (bf.mobius_transform(1 << mask, m) for mask in masks if mask.bit_count() <= k)
     return GeneratorMatrix(k, m, tuple(rows))
 
 
@@ -156,8 +148,9 @@ def probe_batch(
     functions still live to each sweep's pivots, a few sweeps at a time.  A
     function's result is frozen at the pass where it first reaches
     ``limit``, and only live functions are reduced in later sweeps; the walk
-    stops once none is left or the budget is spent.  Each step sizes its own
-    arrays to about ``_BLOCK_BYTES``, and no result depends on the sizes.
+    stops once none is left or the budget is spent.  ``_walk`` and
+    ``_reduce`` each size their own arrays to about ``_BLOCK_BYTES``, and no
+    result depends on the sizes.
     """
     gen = rm_generator_matrix(k, m)
     if any(tt >> (1 << m) for tt in tts):
@@ -171,29 +164,29 @@ def probe_batch(
     done = 0
     while live.size and done < iter_budget:
         planes, pivots = _walk(rows, seed, done, iter_budget)
-        # a quarter of the budget for the reduced functions of a step
-        step = max(1, _BLOCK_BYTES // (4 * live.size * nbytes))
-        for lo in range(0, len(planes), step):
-            hi = min(lo + step, len(planes))
-            reduced = _reduce(fs[live], planes[lo:hi], pivots[:, lo:hi])
-            if check_coset:
-                for s in range(lo, hi):
-                    _assert_coset_preserved(
-                        _unpack(planes[s].T, nbytes),
-                        _unpack(reduced[s - lo], nbytes),
-                        gen.rows,
-                        [tts[b] for b in live],
-                    )
-            weights = np.bitwise_count(reduced).sum(axis=2)
-            hit = weights <= limit
-            first = hit.argmax(axis=0)
-            hits = hit.any(axis=0)
-            at_first = weights[first, np.arange(live.size)]
-            best[live] = np.where(hits, at_first, np.minimum(best[live], weights.min(axis=0)))
-            passes[live[hits]] = done + lo + first[hits] + 1
-            live = live[~hits]
-            if not live.size:
-                break
+        lo = 0
+        while live.size and lo < len(planes):
+            # after a hit, the functions still live are reduced from the next sweep on
+            for reduced in _reduce(fs[live], planes[lo:], pivots[:, lo:]):
+                if check_coset:
+                    for s, now in enumerate(reduced, lo):
+                        _assert_coset_preserved(
+                            _unpack(planes[s].T, nbytes),
+                            _unpack(now, nbytes),
+                            gen.rows,
+                            [tts[b] for b in live],
+                        )
+                weights = np.bitwise_count(reduced).sum(axis=2)
+                hit = weights <= limit
+                first = hit.argmax(axis=0)
+                hits = hit.any(axis=0)
+                at_first = weights[first, np.arange(live.size)]
+                best[live] = np.where(hits, at_first, np.minimum(best[live], weights.min(axis=0)))
+                passes[live[hits]] = done + lo + first[hits] + 1
+                live = live[~hits]
+                lo += len(reduced)
+                if hits.any():
+                    break
         done += len(planes)
         # free the block before the next walk builds its own
         del planes, pivots
@@ -271,56 +264,61 @@ def _walk(rows: np.ndarray, seed: int, first: int, last: int) -> tuple[np.ndarra
     return planes, pivots
 
 
-def _reduce(fs: np.ndarray, planes: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-    """Every function of ``fs`` reduced by each sweep's rows: (sweeps, len(fs), words).
+def _reduce(fs: np.ndarray, planes: np.ndarray, pivots: np.ndarray):
+    """Every function of ``fs`` reduced by each sweep's rows, a step at a time.
 
-    A sweep's rows D_i are clear at each other's pivots p_i, so f reduces
-    to f + sum of f[p_i] D_i, read off f itself.  That sum is computed by
-    the Four Russians method of M4RI (Albrecht, Bard and Hart, ACM TOMS
-    37(1), 2010): a sweep's rows go in groups of ``width``, in row order,
-    each group with a table of all 2^width sums of its rows, and f takes
-    one lookup per group, indexed by its bits at the group's pivots.  The
-    width follows the batch: the largest of 1, 2, 4 and 8 with 2^width at
-    most the function count and width at most the row count, after
-    Albrecht, Bard and Hart's choice of log2 of the row count.  So the
-    tables grow with the rows, not with the truth tables' length.  Per
-    sweep, a group takes its table, one looked-up row per function and a
-    few bytes per function for the index; as many groups go at once as fit
-    half of ``_BLOCK_BYTES``, and at least one.
+    Yields (sweeps, len(fs), words) arrays for consecutive steps of the
+    block's sweeps.  A sweep's rows D_i are clear at each other's pivots
+    p_i, so f reduces to f + sum of f[p_i] D_i, read off f itself: a linear
+    map of f's bits at the pivots, through the Four Russians tables of
+    ``subset_tables``.  A sweep's rows go in groups of ``width``, in row
+    order, the largest of 1, 2, 4 and 8 with 2^width at most the function
+    count and width at most the row count, after Albrecht, Bard and Hart's
+    choice of log2 of the row count; so the tables grow with the rows, not
+    with the truth tables' length.  A step's reduced functions take a
+    quarter of ``_BLOCK_BYTES``, and so do the tables of a step's groups
+    built at once (at least one group).
     """
     count, nwords = fs.shape
-    sweeps, _, nrows = planes.shape
+    nsweeps, _, nrows = planes.shape
     width = max(w for w in (1, 2, 4, 8) if w == 1 or (count >> w and w <= nrows))
-    per_group = sweeps * (8 * nwords * ((1 << width) + count) + (8 + 3 * width) * count)
-    step = width * max(1, _BLOCK_BYTES // (2 * per_group))
+    step = max(1, _BLOCK_BYTES // (32 * count * nwords))
     # the bytes of the functions, one row per byte position
     raw = np.ascontiguousarray(fs.view(np.uint8).T)
-    out = np.repeat(fs[None], sweeps, axis=0)
-    for lo in range(0, nrows, step):
-        rows, at = planes[:, :, lo : lo + step], pivots[lo : lo + step]
-        groups = -(-len(at) // width)
-        if pad := groups * width - len(at):
-            # zero rows, pivoted anywhere, fill the last group
-            rows = np.concatenate([rows, np.zeros((sweeps, nwords, pad), dtype=_WORD)], axis=2)
-            at = np.concatenate([at, np.zeros((pad, sweeps), dtype=at.dtype)])
-        # the tables [0, row j] of each group and sweep, paired off into one
-        # of 2^width entries, entry v the sum of the rows j set in v
-        table = np.zeros((groups, sweeps, width, 2, nwords), dtype=_WORD)
-        table[:, :, :, 1] = rows.reshape(sweeps, nwords, groups, width).transpose(2, 0, 3, 1)
-        while table.shape[2] > 1:
-            size = table.shape[3]
-            table = table[:, :, 1::2, :, None] ^ table[:, :, ::2, None]
-            table = table.reshape(groups, sweeps, -1, size * size, nwords)
-        # a function's index in its group's table has bit j set when the
-        # function is set at the group's j-th pivot: (groups, sweeps, functions)
-        at = at.reshape(groups, width, sweeps)
-        bits = (raw[at >> 3] & _BIT[at & 7, None]) != 0
-        index = np.bitwise_or.reduce(bits * _BIT[:width, None, None], axis=1)
-        # plus the place of the group's and sweep's table in the flat array
-        first = np.arange(0, groups * sweeps << width, 1 << width)
-        shares = table.reshape(-1, nwords).take(index + first.reshape(groups, sweeps, 1), axis=0)
-        out ^= shares[0] if groups == 1 else np.bitwise_xor.reduce(shares, axis=0)
-    return out
+    for lo in range(0, nsweeps, step):
+        hi = min(lo + step, nsweeps)
+        span = width * max(1, _BLOCK_BYTES // (4 * (hi - lo) * 8 * nwords << width))
+        out = np.repeat(fs[None], hi - lo, axis=0)
+        for r in range(0, nrows, span):
+            # entry [v, s] of a group's table is for sweep s: (groups, 2^width, sweeps, words)
+            tables = subset_tables(planes[lo:hi, :, r : r + span].transpose(2, 0, 1), width)
+            indices = _pivot_indices(raw, pivots[r : r + span, lo:hi], width)
+            xor_lookup(tables.reshape(len(tables), -1, nwords), indices, out)
+        yield out
+
+
+def _pivot_indices(raw: np.ndarray, at: np.ndarray, width: int):
+    """Each group's indices into its flat table, (sweeps, functions), in turn.
+
+    ``at`` holds the pivots of a run of rows, (rows, sweeps), and ``raw``
+    the functions' bytes, one row per byte position.  A function's entry in
+    a group has bit j set when it is set at the group's j-th pivot, and
+    sweep s folds in as entry * sweeps + s.  A short last group's pivots
+    are padded with 0, as its missing rows are zero.  The groups are made
+    a quarter of ``_BLOCK_BYTES`` at a time, or one at a time if larger.
+    """
+    sweeps = at.shape[1]
+    at = np.pad(at, ((0, -len(at) % width), (0, 0))).reshape(-1, width, sweeps)
+    # per group: the bits, their weighted copy, and the entries before and
+    # after they widen to intp
+    batch = max(1, _BLOCK_BYTES // (4 * sweeps * raw.shape[1] * (2 * width + 9)))
+    sweep = np.arange(sweeps)[:, None]
+    for g in range(0, len(at), batch):
+        group = at[g : g + batch]
+        bits = (raw[group >> 3] & _BIT[group & 7, None]) != 0
+        index = np.bitwise_or.reduce(bits * _BIT[:width, None, None], axis=1) * np.intp(sweeps)
+        index += sweep
+        yield from index
 
 
 def _row_bytes(m: int) -> int:

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from . import boolfun as bf
 from .boolfun import AnfPolynomial, BooleanFunction
@@ -288,28 +286,10 @@ def action_matrix(space: QuotientSpace, s: AffineTransformation) -> list[int]:
 
 
 def apply_key(images: list[int], key: int) -> int:
+    """Image of one key under the linear map taking bit j to images[j]."""
     out = 0
     while key:
         low = key & -key
         out ^= images[low.bit_length() - 1]
         key ^= low
     return out
-
-
-def byte_tables(images: Sequence, dim: int) -> np.ndarray:
-    """Tables of a linear map on keys, one per key byte.
-
-    ``images[j]`` is the image of key bit j: an integer, or a row of
-    integers when the map has several outputs.  Entry [c, b] is the XOR of
-    the images of the set bits of byte value b in key byte c, so the image
-    of a key is the XOR over its bytes of one entry each.  Images must fit
-    in int64.
-    """
-    nchunks = max(1, (dim + 7) // 8)
-    padded = np.zeros((8 * nchunks,) + np.shape(images)[1:], dtype=np.int64)
-    padded[:dim] = images
-    tables = np.zeros((nchunks, 256) + padded.shape[1:], dtype=np.int64)
-    for k in range(8):
-        # byte values with top bit k: those below 2^k, plus bit k's image
-        tables[:, 1 << k : 2 << k] = tables[:, : 1 << k] ^ padded[k::8, None]
-    return tables

@@ -1,6 +1,7 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from rmcover import (
@@ -17,7 +18,16 @@ from rmcover import (
     transvection,
 )
 from rmcover.boolfun import BooleanFunction
-from rmcover.group import gf2_rank, invert_rows, mat_mul, matvec, transpose_rows
+from rmcover.group import (
+    gf2_rank,
+    invert_rows,
+    mat_mul,
+    matvec,
+    subset_tables,
+    transpose_rows,
+    xor_lookup,
+)
+from rmcover.quotient import apply_key
 
 
 def closure(gens, m, limit=None):
@@ -35,6 +45,74 @@ def closure(gens, m, limit=None):
                 if limit and len(seen) > limit:
                     raise AssertionError("closure exceeded limit")
     return seen
+
+
+def group_indices(keys, width, groups):
+    """Each group's index array: the keys' bits g*width ... g*width + width-1."""
+    mask = (1 << width) - 1
+    return [np.array([key >> (g * width) & mask for key in keys]) for g in range(groups)]
+
+
+class TestSubsetTables:
+    # the Four Russians kernel against apply_key, the scalar path for one key
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_scalar_images(self, width):
+        rng = random.Random(width)
+        # no rows, a short group, whole groups and a short last group
+        for n in (0, 1, width, 3 * width, 3 * width + 1, 4 * width - 1):
+            images = [rng.getrandbits(63) for _ in range(n)]
+            keys = [rng.getrandbits(n) for _ in range(50)]
+            tables = subset_tables(np.array(images, dtype=np.int64), width)
+            assert tables.shape == (max(1, -(-n // width)), 1 << width)
+            got = xor_lookup(tables, group_indices(keys, width, len(tables)))
+            assert got.tolist() == [apply_key(images, key) for key in keys], n
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_row_images(self, width):
+        # each input bit maps to a row of outputs, as in derivative_tables
+        rng = random.Random(10 + width)
+        for n in (0, 2 * width - 1, 2 * width):
+            images = [[rng.getrandbits(63) for _ in range(5)] for _ in range(n)]
+            keys = [rng.getrandbits(n) for _ in range(30)]
+            rows = np.array(images, dtype=np.int64).reshape(n, 5)
+            tables = subset_tables(rows, width)
+            got = xor_lookup(tables, group_indices(keys, width, len(tables)))
+            want = [[apply_key([im[c] for im in images], key) for c in range(5)] for key in keys]
+            assert got.tolist() == want, n
+
+    @pytest.mark.parametrize("width", [2, 3, 8])
+    def test_missing_rows_of_last_group_are_zero(self, width):
+        # the last group holds one row: its other index bits change nothing
+        rng = random.Random(20 + width)
+        images = [rng.getrandbits(63) for _ in range(2 * width + 1)]
+        keys = [rng.getrandbits(len(images)) for _ in range(40)]
+        tables = subset_tables(np.array(images, dtype=np.int64), width)
+        indices = group_indices(keys, width, len(tables))
+        indices[-1] |= [rng.getrandbits(width) & ~1 for _ in keys]
+        assert xor_lookup(tables, indices).tolist() == [apply_key(images, k) for k in keys]
+
+    def test_wide_keys_read_as_bytes(self):
+        # keys of 100 bits do not fit in int64: each byte indexes its group
+        rng = random.Random(7)
+        images = [rng.getrandbits(63) for _ in range(100)]
+        keys = [rng.getrandbits(100) for _ in range(64)]
+        tables = subset_tables(np.array(images, dtype=np.int64), 8)
+        raw = b"".join(key.to_bytes(len(tables), "little") for key in keys)
+        parts = np.frombuffer(raw, dtype=np.uint8).reshape(len(keys), len(tables))
+        got = xor_lookup(tables, parts.T)
+        assert got.tolist() == [apply_key(images, key) for key in keys]
+
+    def test_lookup_into_out(self):
+        rng = random.Random(8)
+        images = [rng.getrandbits(63) for _ in range(19)]
+        keys = [rng.getrandbits(19) for _ in range(40)]
+        tables = subset_tables(np.array(images, dtype=np.int64), 4)
+        start = [rng.getrandbits(63) for _ in keys]
+        out = np.array(start, dtype=np.int64)
+        got = xor_lookup(tables, group_indices(keys, 4, len(tables)), out)
+        assert got is out
+        assert got.tolist() == [s ^ apply_key(images, k) for s, k in zip(start, keys)]
 
 
 class TestMatrices:

@@ -65,6 +65,22 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError):
             rm_generator_matrix(5, 4)
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_rows_are_monomial_truth_tables(self, m):
+        # the Moebius transform of a monomial against its truth table point
+        # by point: x^mask is set at the x that cover the mask
+        masks = sorted(range(1 << m), key=lambda s: (s.bit_count(), s))
+        tables = []
+        for mask in masks:
+            tt = 0
+            for x in range(1 << m):
+                if x & mask == mask:
+                    tt |= 1 << x
+            tables.append(tt)
+        for k in range(m + 1):
+            want = [tt for mask, tt in zip(masks, tables) if mask.bit_count() <= k]
+            assert rm_generator_matrix(k, m).rows == tuple(want), k
+
 
 class TestExactNonlinearity:
     def test_codeword_distance_zero(self):
