@@ -1,11 +1,17 @@
 """Orbit classification of quotient windows under AGL(m,2).
 
 The exact oracle is a breadth-first closure over the whole window, feasible
-whenever 2^dim fits the guard.  Large windows are handled by the cover-set
-pipeline instead: decompose along the last variable, keep one g per class of
-the lower window, reduce the h part by the stabilizer of g, then split the
-surviving cover entries into orbits with the distribution invariants and the
-backtracking equivalence test.
+whenever 2^dim fits the guard.  Larger windows go through the cover-set
+pipeline.  It decomposes along the last variable, f = x_m * g + h, keeps one
+g per class of the lower window, and walks the h part under the stabilizer
+of g and the translations h -> h + alpha*g.  The surviving entries are the
+orbits of P, the affine maps whose linear part fixes e_m.  Every element of
+AGL(m,2) is A_v p with p in P, for one linear map A_v per direction v, the
+image of e_m; so the class of an entry is the union of the P-orbits of
+entry o A_v over the 2^m - 1 directions.  The pipeline reads those P-orbits
+off as labels, walking keys back along the Schreier vectors of the lower
+window's lookup and of the h walks.  This is Schmalz's ladder game, the
+Leiterspiel (B. Schmalz, Bayreuther Math. Schr. 31, 1990).
 """
 
 from __future__ import annotations
@@ -15,14 +21,11 @@ import hashlib
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from random import Random
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import boolfun as bf
-from .equivalence import DEFAULT_ITER_BUDGET, EQUIV, UNDEFINED, equivalent
 from .group import (
     AffineTransformation,
     _StabilizerChain,
@@ -33,7 +36,10 @@ from .group import (
     gf2_reduce,
     identity,
     invert,
+    invert_rows,
     subset_tables,
+    transpose_rows,
+    transvection,
     xor_lookup,
 )
 from .invariant import class_maps, j_hat_signatures
@@ -68,7 +74,8 @@ class Classification:
 
     Class indices are pinned by the representative order; the digest commits
     to that numbering and travels with every invariant signature derived
-    from it.
+    from it.  ``schreier`` is the Schreier vector of the lookup's BFS, by
+    index into ``walk_generators()``.
     """
 
     space: QuotientSpace
@@ -79,6 +86,7 @@ class Classification:
     provenance: str = ""
     generators: Optional[list[AffineTransformation]] = None
     digest: str = field(default="")
+    schreier: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not self.digest:
@@ -94,12 +102,16 @@ class Classification:
     def rep_functions(self) -> list[QuotientFunction]:
         return [self.space.function(k) for k in self.reps]
 
+    def walk_generators(self) -> list[AffineTransformation]:
+        """The maps the lookup's BFS walks by: the file's, or AGL's default set."""
+        return self.generators or agl_generators(self.space.m)
+
     def ensure_lookup(self) -> None:
-        """Rebuild the complete orbit map by BFS if it is missing."""
-        if self.lookup is not None:
+        """Rebuild the complete orbit map and its Schreier vector by BFS if
+        either is missing."""
+        if self.lookup is not None and self.schreier is not None:
             return
-        gens = self.generators or agl_generators(self.space.m)
-        rebuilt = orbit_enumerate(*self.space.params, gens, stabilizers=False)
+        rebuilt = orbit_enumerate(*self.space.params, self.walk_generators(), stabilizers=False)
         if rebuilt.reps != self.reps:
             raise ValueError(
                 "stored representatives disagree with the BFS rebuild; "
@@ -108,6 +120,7 @@ class Classification:
         if self.orbit_sizes not in (None, rebuilt.orbit_sizes):
             raise ValueError("stored orbit sizes disagree with the BFS rebuild")
         self.lookup = rebuilt.lookup
+        self.schreier = rebuilt.schreier
         self.orbit_sizes = rebuilt.orbit_sizes
 
     def classes_of(self, keys) -> np.ndarray:
@@ -121,22 +134,30 @@ class Classification:
         return self.lookup[np.asarray(keys)].astype(np.int64)
 
 
-# --- exact orbit enumeration ------------------------------------------------
+# --- walks and their Schreier vectors ----------------------------------------
 
 
 _SCAN_BLOCK = 1 << 12
+_UNSEEN = -1  # Schreier vector entry of a point no walk has reached
+_START = -2  # entry of a walk's start; every other point holds a generator index
 
 
-def _unlabeled(labels: np.ndarray) -> Iterable[int]:
-    """Yield the smallest key whose label is negative, again after each orbit.
+def _schreier_vector(size: int, n_gens: int) -> np.ndarray:
+    """A Schreier vector with every point unseen, one byte a point below 128
+    generators."""
+    return np.full(size, _UNSEEN, dtype=np.int8 if n_gens < 128 else np.int16)
 
-    The caller labels the orbit of each yielded key before asking for the
-    next one, so every key below the last one yielded is labeled and the
-    scan resumes there, one block at a time.
+
+def _unseen(vector: np.ndarray) -> Iterable[int]:
+    """Yield the smallest unseen point, again after each orbit.
+
+    The caller walks the orbit of each yielded point before asking for the
+    next one, so every point below the last one yielded is seen and the scan
+    resumes there, one block at a time.
     """
     start = 0
-    while start < len(labels):
-        hits = np.flatnonzero(labels[start : start + _SCAN_BLOCK] < 0)
+    while start < len(vector):
+        hits = np.flatnonzero(vector[start : start + _SCAN_BLOCK] == _UNSEEN)
         if hits.size:
             start += int(hits[0])
             yield start
@@ -144,30 +165,107 @@ def _unlabeled(labels: np.ndarray) -> Iterable[int]:
             start += _SCAN_BLOCK
 
 
+def _key_bytes(keys: np.ndarray, groups: int) -> list[np.ndarray]:
+    """Bytes 0 .. groups-1 of int64 keys, as views of the keys' memory.
+
+    A walk level hands the same views to every map, with no shifted or
+    masked copy of the frontier.
+    """
+    raw = keys.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    return [raw[:, c] for c in range(groups)]
+
+
 def _walk_orbit(
-    tables: Sequence[np.ndarray], labels: np.ndarray, start: int, value: int
+    tables: Sequence[np.ndarray],
+    vector: np.ndarray,
+    start: int,
+    lookup: Optional[np.ndarray] = None,
+    value: int = 0,
 ) -> int:
-    """Write value over the orbit of start, found by a frontier BFS; return its size.
+    """Record the orbit of start in its Schreier vector by a frontier BFS;
+    return its size.
 
     Each of ``tables`` is the ``subset_tables`` of one map, key byte c
-    indexing group c.  The orbit must be unlabeled (negative) when the walk
-    begins.  Each map is a bijection and its fresh images are labeled
-    before the next map runs, so the frontier never holds a key twice.
+    indexing group c; all maps read the frontier's key bytes in place
+    (``_key_bytes``).  The orbit must be unseen when the walk begins.  The
+    start gets _START and every other point the index of the map that first
+    reached it; ``lookup``, when given, gets value over the orbit.  Each map
+    is a bijection and its fresh images are recorded before the next map
+    runs, so the frontier never holds a key twice.
     """
-    labels[start] = value
+    vector[start] = _START
     frontier = np.array([start], dtype=np.int64)
     size = 1
+    groups = len(tables[0]) if tables else 0
     while frontier.size:
+        if lookup is not None:
+            lookup[frontier] = value
+        index = _key_bytes(frontier, groups)
         parts = []
-        for tab in tables:
-            img = xor_lookup(tab, ((frontier >> (8 * c)) & 255 for c in range(len(tab))))
-            fresh = img[labels[img] < 0]
+        for k, tab in enumerate(tables):
+            img = xor_lookup(tab, index)
+            fresh = img[vector[img] == _UNSEEN]
             if fresh.size:
-                labels[fresh] = value
+                vector[fresh] = k
                 parts.append(fresh)
                 size += fresh.size
         frontier = np.concatenate(parts) if parts else frontier[:0]
     return size
+
+
+def _side_by_side(columns: Sequence[Sequence[int]], dim: int) -> np.ndarray:
+    """``subset_tables`` (groups, 256, maps) of linear maps on dim-bit keys,
+    each given by its images of the basis keys, fewer rows reading as zero."""
+    rows = np.zeros((dim, len(columns)), dtype=np.int64)
+    for k, images in enumerate(columns):
+        rows[: len(images), k] = images
+    return subset_tables(rows, 8)
+
+
+def _column_images(tables: np.ndarray, keys: np.ndarray, columns) -> np.ndarray:
+    """Image of each key under the map in its column of ``_side_by_side``
+    tables: the column joins the key byte in one flat index per group."""
+    width = tables.shape[2]
+    flat = tables.reshape(len(tables), -1)
+    return xor_lookup(
+        flat, (((keys >> (8 * c)) & 255) * width + columns for c in range(len(flat)))
+    )
+
+
+def _walk_back(vector, tables, points, base=0, column=0, carry=None):
+    """Walk points back to the starts of their walks, carrying keys along.
+
+    Point p of a walk sits at vector[base + p], whose entry names the
+    generator k that reached it, and column column + k of ``tables`` holds
+    that generator's inverse; ``base`` and ``column`` are per point or
+    shared.  Each step moves every point not yet at a start.  ``carry`` is
+    (tables, keys): each step applies the same column of its tables to the
+    carried keys.  Returns the starts and the carried keys (or None).
+    """
+    points = points.copy()
+    base = np.broadcast_to(base, points.shape)
+    column = np.broadcast_to(column, points.shape)
+    carried = None if carry is None else carry[1].copy()
+    todo = np.arange(points.size)
+    while True:
+        k = vector[base[todo] + points[todo]]
+        moving = k >= 0
+        todo, k = todo[moving], k[moving]
+        if not todo.size:
+            return points, carried
+        col = column[todo] + k
+        points[todo] = _column_images(tables, points[todo], col)
+        if carry is not None:
+            carried[todo] = _column_images(carry[0], carried[todo], col)
+
+
+def _inverse_images(images: Sequence[int], dim: int) -> list[int]:
+    """Images of the basis keys under the inverse of the invertible map that
+    sends basis key j to images[j]."""
+    return list(transpose_rows(invert_rows(transpose_rows(images, dim), dim), dim))
+
+
+# --- exact orbit enumeration ------------------------------------------------
 
 
 def orbit_enumerate(
@@ -183,8 +281,8 @@ def orbit_enumerate(
 
     Representatives are the smallest key of each orbit, listed in increasing
     order, so the numbering is deterministic.  Returns the complete lookup
-    and, with ``stabilizers``, irredundant generators of the stabilizer of
-    every representative.
+    with the Schreier vector of its BFS and, with ``stabilizers``,
+    irredundant generators of the stabilizer of every representative.
     """
     space = quotient_space(s, t, m)
     n = 1 << space.dim
@@ -198,11 +296,12 @@ def orbit_enumerate(
         subset_tables(np.array(images, dtype=np.int64), 8) for images in images_per_gen
     ]
 
-    lookup = np.full(n, -1, dtype=np.int32)
+    lookup = np.empty(n, dtype=np.int32)
+    schreier = _schreier_vector(n, len(gens))
     reps: list[int] = []
     sizes: list[int] = []
-    for start in _unlabeled(lookup):
-        sizes.append(_walk_orbit(tables, lookup, start, len(reps)))
+    for start in _unseen(schreier):
+        sizes.append(_walk_orbit(tables, schreier, start, lookup, len(reps)))
         reps.append(start)
 
     stab_lists: Optional[list[Optional[list[AffineTransformation]]]] = None
@@ -220,6 +319,7 @@ def orbit_enumerate(
         lookup=lookup,
         provenance=f"oracle-bfs gens={len(gens)}",
         generators=gens,
+        schreier=schreier,
     )
 
 
@@ -275,14 +375,37 @@ def _orbit_stabilizer_gens(
 
 
 @dataclass
+class CoverWalks:
+    """The V/T walks behind a reduced cover, one slice per lower class.
+
+    Point p of slice i is a coset of V/T_i, at vector[offsets[i] + p], and
+    ``starts`` holds the vector positions of the walks' starts in entry
+    order.  Column i of the ``_side_by_side`` tables ``reduce`` sends an h
+    key to its point of slice i, column gen_base[i] + k of ``back`` holds
+    the inverse of slice i's generator k on V/T_i, and ``sizes`` are the
+    entries' P-orbit sizes.
+    """
+
+    vector: np.ndarray
+    offsets: np.ndarray
+    starts: np.ndarray
+    reduce: np.ndarray
+    back: np.ndarray
+    gen_base: np.ndarray
+    sizes: list[int]
+
+
+@dataclass
 class CoverSet:
-    """Entries (g class index, h key) whose recompositions meet every orbit."""
+    """Entries (g class index, h key) whose recompositions meet every orbit;
+    a reduced cover keeps the walks that found its entries."""
 
     s: int
     t: int
     m: int
     size: int
     entries: Iterable[tuple[int, int]]
+    walks: Optional[CoverWalks] = None
 
     def assembled(self, sub: Classification) -> Iterable[int]:
         """Window keys of the entries: x_m * g + h is the key join of
@@ -327,11 +450,18 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
     For each g, the h window V is partitioned under the group generated by
     h -> h o u for u in the stabilizer of g together with the translations
     h -> h + alpha*g over affine forms alpha; one minimal representative
-    per orbit survives.  The translations span a subspace T that every u
-    maps into itself, so the orbits are unions of T-cosets and the walk runs
-    on V/T: each coset is named by its smallest key, which has no pivot bit
-    of T set, and numbered densely by deleting those bits.  Stabilizer lists
-    may come from a file, so each u is checked to fix g and to map T into T.
+    per orbit survives, so the entries are the P-orbits of the window.  The
+    translations span a subspace T that every u maps into itself, so the
+    orbits are unions of T-cosets and the walk runs on V/T: each coset is
+    named by its smallest key, which has no pivot bit of T set, and numbered
+    densely by deleting those bits.  The walks record their Schreier
+    vectors in the cover's ``walks``.
+
+    Stabilizer lists may come from a file, so each u is checked to fix g and
+    to map T into T, and each list to generate all of Stab(g), the
+    |AGL(m-1,2)| / |orbit(g)| elements: a walk under part of it would split
+    a P-orbit.  A g whose orbit is one point is fixed by the whole group, so
+    its walk takes the lower window's ``walk_generators()`` instead.
     """
     _check_sub(s, t, m, sub)
     if sub.stabilizer_gens is None:
@@ -341,12 +471,12 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
         raise SpaceTooLargeError(
             f"h window has 2^{h_space.dim} elements, guard allows {DEFAULT_INNER_GUARD}"
         )
+    if sub.orbit_sizes is None:
+        sub.ensure_lookup()
 
-    entries: list[tuple[int, int]] = []
+    frees, dims_t, forwards, backs, reduces = [], [], [], [], []
     for g_idx in range(sub.n_classes):
-        stab = sub.stabilizer_gens[g_idx]
-        if stab is None:
-            raise ValueError(f"missing stabilizer generators for class {g_idx}")
+        gens = _slice_generators(sub, g_idx)
         g_fn = sub.rep_function(g_idx)
         basis = gf2_echelon(
             multiply_affine_form(1 << alpha_mask, g_fn, s, t).key
@@ -360,8 +490,8 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
         def compress(key: int) -> int:
             return sum(((key >> q) & 1) << j for j, q in enumerate(free))
 
-        tables = []
-        for u in stab:
+        forward = []
+        for u in gens:
             images = action_matrix(h_space, u)
             if any(gf2_reduce(apply_key(images, b), basis) for b in basis):
                 raise ValueError(
@@ -374,29 +504,70 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
                     "representative"
                 )
             moved = [compress(gf2_reduce(images[q], basis)) for q in free]
-            tables.append(subset_tables(np.array(moved, dtype=np.int64), 8))
+            forward.append(subset_tables(np.array(moved, dtype=np.int64), 8))
+            backs.append(_inverse_images(moved, len(free)))
+        if sub.orbit_sizes[g_idx] > 1:
+            _check_complete(sub, g_idx, gens)
+        frees.append(free)
+        dims_t.append(len(basis))
+        forwards.append(forward)
+        reduces.append([compress(gf2_reduce(1 << q, basis)) for q in range(h_space.dim)])
 
-        labels = np.full(1 << len(free), -1, dtype=np.int8)
-        for start in _unlabeled(labels):
-            _walk_orbit(tables, labels, start, 0)
+    offsets = np.cumsum([0] + [1 << len(free) for free in frees])
+    gen_base = np.cumsum([0] + [len(forward) for forward in forwards])
+    vector = _schreier_vector(int(offsets[-1]), max(map(len, forwards)))
+    entries: list[tuple[int, int]] = []
+    starts: list[int] = []
+    sizes: list[int] = []
+    for g_idx, (free, forward) in enumerate(zip(frees, forwards)):
+        points = vector[offsets[g_idx] : offsets[g_idx + 1]]
+        for start in _unseen(points):
+            walked = _walk_orbit(forward, points, start)
             entries.append(
                 (g_idx, sum(((start >> j) & 1) << q for j, q in enumerate(free)))
             )
+            starts.append(int(offsets[g_idx]) + start)
+            sizes.append(sub.orbit_sizes[g_idx] * walked << dims_t[g_idx])
 
-    return CoverSet(s, t, m, len(entries), entries)
+    walks = CoverWalks(
+        vector=vector,
+        offsets=offsets[:-1],
+        starts=np.array(starts, dtype=np.int64),
+        reduce=_side_by_side(reduces, h_space.dim),
+        back=_side_by_side(backs, max(map(len, frees))),
+        gen_base=gen_base[:-1],
+        sizes=sizes,
+    )
+    return CoverSet(s, t, m, len(entries), entries, walks)
 
 
-# --- class lookup and the pipeline -------------------------------------------
+def _slice_generators(sub: Classification, g_idx: int) -> list[AffineTransformation]:
+    """The maps the V/T walk of class g_idx goes by: its stabilizer list, or
+    the window's generators when the whole group fixes its representative."""
+    if sub.orbit_sizes[g_idx] == 1:
+        return sub.walk_generators()
+    stab = sub.stabilizer_gens[g_idx]
+    if stab is None:
+        raise ValueError(f"missing stabilizer generators for class {g_idx}")
+    return stab
 
 
-DEFAULT_BUDGET_RETRIES = 3
+def _check_complete(sub: Classification, g_idx: int, gens) -> None:
+    """Refuse generators, each known to fix rep g_idx, that do not generate
+    its whole stabilizer, |AGL| / |orbit| elements (Schreier-Sims)."""
+    m = sub.space.m
+    order = agl_order(m) // sub.orbit_sizes[g_idx]
+    chain = _StabilizerChain(m, order)
+    for u in gens:
+        chain.add(u)
+    if chain.order() != order:
+        raise ValueError(
+            f"stabilizer generators of class {g_idx} generate {chain.order()} "
+            f"of the {order} elements of its stabilizer"
+        )
 
-_RESEED = 0x9E3779B9  # additive reseed step for fresh search randomization
 
-
-def _pair_seed(seed: int, a: int, b: int) -> int:
-    mix = hashlib.sha256(f"{seed}|{a:x}|{b:x}".encode()).digest()
-    return int.from_bytes(mix[:8], "big")
+# --- P-orbit labels and the pipeline -------------------------------------------
 
 
 def class_of(qf: QuotientFunction, classification: Classification) -> int:
@@ -406,45 +577,72 @@ def class_of(qf: QuotientFunction, classification: Classification) -> int:
     return int(classification.classes_of([qf.key])[0])
 
 
-def _resolve_bucket(space, sub, keys, budget_iter, seed, retries):
-    """Merge one invariant bucket; returns (reps, unresolved, calls, undefined).
+def _direction_maps(m: int) -> list[AffineTransformation]:
+    """One linear involution A_v with A_v(e_m) = v for each v = 1 .. 2^m - 1.
 
-    Keys are taken in increasing order, and each is searched against the
-    representatives kept so far until one is equivalent.  Each pair is
-    searched under its own seed from _pair_seed; while the verdict is
-    Undefined the search is re-run with a fresh seed, up to ``retries`` runs
-    in all.  Re-randomizing re-orders the candidate tree without changing
-    the set of candidates, so it can only turn Undefined into a decided
-    verdict.  A key that matches no representative becomes one, and each
-    representative it stayed Undefined against makes an unresolved pair.
+    A_v P is then the coset of the maps whose linear part sends e_m to v, P
+    being the maps whose linear part fixes e_m.  A_(e_m) is the identity;
+    every other A_v is the transvection x -> x + theta(x)(e_m + v), where
+    theta(e_m) = 1 and theta(e_m + v) = 0.
     """
-    reps: list[int] = []
-    unresolved: list[tuple[int, int]] = []
-    calls = 0
-    undefined = 0
-    for key in sorted(keys):
-        fn = space.function(key)
-        undecided: list[int] = []
-        for rkey in reps:
-            rep_fn = space.function(rkey)
-            pair_seed = _pair_seed(seed, rkey, key)
-            for attempt in range(max(1, retries)):
-                verdict = equivalent(
-                    rep_fn, fn, sub, iter_budget=budget_iter,
-                    rng=Random(pair_seed + attempt * _RESEED),
-                ).verdict
-                calls += 1
-                if verdict != UNDEFINED:
-                    break
-                undefined += 1
-            if verdict == EQUIV:
-                break
-            if verdict == UNDEFINED:
-                undecided.append(rkey)
+    top = 1 << (m - 1)
+    maps = []
+    for v in range(1, 1 << m):
+        if v == top:
+            maps.append(identity(m))
         else:
-            reps.append(key)
-            unresolved.extend((rkey, key) for rkey in undecided)
-    return reps, unresolved, calls, undefined
+            theta = top if v & top else top | (v & -v)
+            maps.append(transvection(top ^ v, theta, m))
+    return maps
+
+
+@dataclass
+class _Labeler:
+    """P-orbit labels of the keys f o A_v of window keys f, all v at once.
+
+    f = x_m * g + h moves within its P-orbit to x_m * rep_i + h' as g walks
+    back along the lower window's Schreier vector and h goes through the
+    same inverse generators on the h window.  h' then goes to its point of
+    V/T_i, and the walk back from there ends at the start of the entry
+    whose P-orbit holds f.
+    """
+
+    h_dim: int
+    directions: np.ndarray  # _side_by_side tables of the maps A_v
+    lookup: np.ndarray
+    schreier: np.ndarray
+    g_back: np.ndarray  # inverse lower-window generators on the g window
+    h_back: np.ndarray  # the same maps on the h window
+    walks: CoverWalks
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        """Entry labels, row i for keys[i] and column v - 1 for direction v."""
+        moved = xor_lookup(self.directions, _key_bytes(keys, len(self.directions))).ravel()
+        g, h = moved >> self.h_dim, moved & ((1 << self.h_dim) - 1)
+        cls = self.lookup[g].astype(np.int64)
+        _, h = _walk_back(self.schreier, self.g_back, g, carry=(self.h_back, h))
+        w = self.walks
+        point, _ = _walk_back(
+            w.vector, w.back, _column_images(w.reduce, h, cls), w.offsets[cls], w.gen_base[cls]
+        )
+        entry = np.searchsorted(w.starts, w.offsets[cls] + point)
+        return entry.reshape(len(keys), self.directions.shape[2])
+
+
+def _labeler(space: QuotientSpace, sub: Classification, cover: CoverSet) -> _Labeler:
+    h_space = quotient_space(space.s, space.t, space.m - 1)
+    inverses = [invert(u) for u in sub.walk_generators()]
+    return _Labeler(
+        h_dim=h_space.dim,
+        directions=_side_by_side(
+            [action_matrix(space, a) for a in _direction_maps(space.m)], space.dim
+        ),
+        lookup=sub.lookup,
+        schreier=sub.schreier,
+        g_back=_side_by_side([action_matrix(sub.space, u) for u in inverses], sub.space.dim),
+        h_back=_side_by_side([action_matrix(h_space, u) for u in inverses], h_space.dim),
+        walks=cover.walks,
+    )
 
 
 @dataclass
@@ -454,83 +652,72 @@ class PipelineReport:
     reduced_cover_size: int
     n_buckets: int
     n_classes: int
-    equivalence_calls: int
-    undefined_outcomes: int
-    unresolved_pairs: list[tuple[int, int]]
-    seed: int
-    budget_iter: int
 
 
 def classify_pipeline(
-    s: int,
-    t: int,
-    m: int,
-    sub: Classification,
-    *,
-    budget_iter: int = DEFAULT_ITER_BUDGET,
-    retries: int = DEFAULT_BUDGET_RETRIES,
-    seed: int = 0,
-    jobs: int = 1,
+    s: int, t: int, m: int, sub: Classification, *, jobs: int = 1
 ) -> tuple[Classification, PipelineReport]:
-    """Cover set, invariant bucketing, equivalence: the full classifier.
+    """Cover set and P-orbit labels: the full classifier.
 
-    Within a bucket, candidates are merged by the equivalence search, with
-    fresh search randomization up to ``retries`` times while the budget runs
-    out; a still-Undefined outcome never merges or drops a candidate
-    silently, it is surfaced as an unresolved pair in the report.
+    The class of a cover entry is the set of entries that label it composed
+    with every direction map (``_Labeler``), one pass over all entries and
+    directions, spread over ``jobs`` processes in chunks of entries.  The
+    pass must map every entry to itself at direction e_m, and give all
+    entries of a class the same label set.  A class is represented by its
+    smallest key; its orbit size is the sum of its entries' P-orbit sizes.
+    The J-hat signatures bucket the entries for the report, and no class may
+    span two buckets.
     """
     _check_sub(s, t, m, sub)
 
     space = quotient_space(s, t, m)
     initial_size = initial_cover_set(s, t, m, sub).size
+    sub.ensure_lookup()
     cover = reduce_cover_set(s, t, m, sub)
-
     keys = list(cover.assembled(sub))
-    # numbering the derived keys attaches sub's lookup here, before a pool
-    # pickles sub, so workers never rebuild it
-    buckets: dict = {}
-    for key, sig in zip(keys, j_hat_signatures(class_maps(space, keys, sub), sub.digest)):
-        buckets.setdefault(sig, []).append(key)
+    signatures = j_hat_signatures(class_maps(space, keys, sub), sub.digest)
 
-    tasks = sorted(buckets.values(), key=lambda keys: (len(keys), keys), reverse=True)
-    resolve = partial(
-        _resolve_bucket, space, sub, budget_iter=budget_iter, seed=seed, retries=retries
-    )
-    if jobs > 1 and len(tasks) > 1:
+    keys = np.array(keys, dtype=np.int64)
+    label = _labeler(space, sub, cover)
+    if jobs > 1 and len(keys) > 1:
         from .parallel import resolve_buckets_parallel
 
-        results = resolve_buckets_parallel(resolve, tasks, jobs)
+        labels = np.concatenate(resolve_buckets_parallel(label, np.array_split(keys, jobs), jobs))
     else:
-        results = [resolve(keys) for keys in tasks]
+        labels = label(keys)
 
-    rep_keys: list[int] = []
-    unresolved: list[tuple[int, int]] = []
-    calls = 0
-    undefined = 0
-    for keys, pairs, ncalls, nundef in results:
-        rep_keys.extend(keys)
-        unresolved.extend(pairs)
-        calls += ncalls
-        undefined += nundef
-    rep_keys.sort()
+    if not np.array_equal(labels[:, (1 << (m - 1)) - 1], np.arange(len(keys))):
+        raise RuntimeError("direction e_m moved a cover entry off its own P-orbit")
+    # each entry's label set as one row: sorted, with repeats moved ahead as -1
+    sets = np.sort(labels, axis=1)
+    sets[:, 1:][sets[:, 1:] == sets[:, :-1]] = -1
+    sets.sort(axis=1)
+    same = np.unique(sets, axis=0, return_inverse=True)[1].ravel()
+    if not (same[labels] == same[:, None]).all():
+        raise RuntimeError("entries of one class give different label sets")
+
+    rep_of = keys[labels].min(axis=1)
+    rep_keys = np.unique(rep_of)
+    class_idx = np.searchsorted(rep_keys, rep_of).tolist()
+    sizes = [0] * len(rep_keys)
+    bucket: dict = {}
+    for c, size, sig in zip(class_idx, cover.walks.sizes, signatures):
+        sizes[c] += size
+        if bucket.setdefault(c, sig) != sig:
+            raise RuntimeError(f"class {c} spans two invariant buckets")
 
     cls = Classification(
         space=space,
-        reps=rep_keys,
-        provenance=f"pipeline sub={sub.digest} seed={seed} iter={budget_iter}",
-        generators=None,
+        reps=rep_keys.tolist(),
+        orbit_sizes=sizes,
+        provenance=f"pipeline-labels sub={sub.digest}",
     )
     report = PipelineReport(
         space=space.params,
         initial_cover_size=initial_size,
         reduced_cover_size=cover.size,
-        n_buckets=len(buckets),
-        n_classes=len(rep_keys),
-        equivalence_calls=calls,
-        undefined_outcomes=undefined,
-        unresolved_pairs=unresolved,
-        seed=seed,
-        budget_iter=budget_iter,
+        n_buckets=len(set(signatures)),
+        n_classes=cls.n_classes,
     )
     return cls, report
 

@@ -16,7 +16,6 @@ from random import Random
 from . import __version__
 from . import boolfun as bf
 from .classify import (
-    DEFAULT_BUDGET_RETRIES,
     SpaceTooLargeError,
     classify_pipeline,
     load_classification,
@@ -134,28 +133,18 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_classify(args) -> int:
     sub = load_classification(args.sub)
-    cls, report = classify_pipeline(
-        args.s,
-        args.t,
-        args.m,
-        sub,
-        budget_iter=args.budget_iter,
-        retries=args.budget_retries,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    cls, report = classify_pipeline(args.s, args.t, args.m, sub, jobs=args.jobs)
     save_classification(cls, args.out)
+    # the labels run no equivalence search; the line keeps its format
     lines = _report_header(args, args.seed)
     lines.append(
         f"classes {report.n_classes} buckets {report.n_buckets} "
         f"cover {report.reduced_cover_size} (initial {report.initial_cover_size}) "
-        f"equiv-calls {report.equivalence_calls}"
+        "equiv-calls 0"
     )
-    for a, b in report.unresolved_pairs:
-        lines.append(f"UNRESOLVED {a:x} {b:x}")
     _emit(lines, args.report)
     print(f"classes {report.n_classes} -> {args.out}")
-    return 1 if report.unresolved_pairs else 0
+    return 0
 
 
 def _cmd_invariant(args) -> int:
@@ -300,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_oracle)
 
-    p = subs.add_parser("classify", help="cover set + invariant + equivalence pipeline")
+    p = subs.add_parser("classify", help="cover set + P-orbit label pipeline")
     sub2 = p.add_subparsers(dest="subcommand", required=True)
     pr = sub2.add_parser("run")
     pr.add_argument("--s", type=int, required=True)
@@ -309,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sub", required=True, help="classification file of the lower window")
     pr.add_argument("--out", required=True)
     pr.add_argument("--report", default=None)
+    # the search options no longer act; they keep their defaults so that
+    # existing command lines run and their config digests stay the same
     pr.add_argument(
         "--budget-iter",
         type=_count("the search budget per pair"),
@@ -317,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument(
         "--budget-retries",
         type=_count("the number of searches per pair"),
-        default=DEFAULT_BUDGET_RETRIES,
+        default=3,
     )
     pr.add_argument("--seed", type=int, default=0)
     _add_jobs_argument(pr)

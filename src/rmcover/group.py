@@ -251,8 +251,8 @@ class _StabilizerChain:
 
     The base is the affine basis 0, e_1, ..., e_m, which only the identity
     fixes.  Level i keeps the strong generators that fix base[:i] and the
-    orbit of base[i] under them, as a dict from each point p to the inverse
-    of a coset representative that maps base[i] to p.  Every Schreier
+    orbit of base[i] under them, as dicts from each point p to a coset
+    representative that maps base[i] to p and to its inverse.  Every Schreier
     generator of a level sifts through the levels below it, so the group
     order is the product of the orbit lengths.
 
@@ -268,7 +268,8 @@ class _StabilizerChain:
         self.target = order
         self.base = [0] + [1 << i for i in range(m)]
         self.gens: list[list[AffineTransformation]] = [[] for _ in self.base]
-        self.orbits = [{b: identity(m)} for b in self.base]
+        self.orbits = [{b: identity(m)} for b in self.base]  # p -> inverse representative
+        self._forward = [{b: identity(m)} for b in self.base]  # p -> representative
         self._checked: list[set[tuple[int, int]]] = [set() for _ in self.base]
 
     def order(self) -> int:
@@ -298,7 +299,8 @@ class _StabilizerChain:
         for i in range(j + 1):
             self.gens[i].append(g)
         for i in range(j, -1, -1):
-            orbit, gens, checked = self.orbits[i], self.gens[i], self._checked[i]
+            orbit, forward = self.orbits[i], self._forward[i]
+            gens, checked = self.gens[i], self._checked[i]
             # a nested add may grow this level too; loop until every
             # (point, generator) pair has been visited
             while pending := [
@@ -310,9 +312,10 @@ class _StabilizerChain:
                     if (p, k) in checked:
                         continue
                     checked.add((p, k))
-                    x = compose(gens[k], invert(orbit[p]))
+                    x = compose(gens[k], forward[p])
                     q = x.apply(self.base[i])
                     if q in orbit:
                         self.add(x, i)
                     else:
+                        forward[q] = x
                         orbit[q] = invert(x)

@@ -1,9 +1,10 @@
 """Process-pool helpers for the embarrassingly parallel inner loops.
 
-Tasks are small picklable payloads: bucket keys, or index ranges of a probe
-scan.  The function applied to them carries the shared read-only state (the
-lower-window classification with its lookup; the scan's lifts and probe
-parameters) and reaches each worker once, through the pool initializer.
+Tasks are small picklable payloads: chunks of cover keys, or index ranges of
+a probe scan.  The function applied to them carries the shared read-only
+state (the lower-window lookup and the walks behind a cover; the scan's
+lifts and probe parameters) and reaches each worker once, through the pool
+initializer.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ def _pool_map(fn, tasks, jobs):
         return list(pool.map(_work, tasks))
 
 
-def resolve_buckets_parallel(resolve, tasks, jobs):
-    """Merge invariant buckets across a pool, in order.
+def resolve_buckets_parallel(label, chunks, jobs):
+    """Label chunks of cover keys across a pool, in order.
 
-    ``resolve`` maps one bucket's keys to its merge result.  The lower-window
-    classification it carries attached its lookup while the parent bucketed
-    the cover, so it reaches the workers with it and they never rebuild it.
+    ``label`` maps an array of cover keys to their rows of P-orbit labels.
+    It carries the lower window's lookup and Schreier vector and the cover's
+    walks, built by the parent, so the workers never rebuild them.
     """
-    return _pool_map(resolve, tasks, jobs)
+    return _pool_map(label, chunks, jobs)
 
 
 def probe_batch_parallel(walk, chunks, jobs):

@@ -1,6 +1,7 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from rmcover import (
@@ -12,6 +13,7 @@ from rmcover import (
     compose,
     identity,
     initial_cover_set,
+    invert,
     load_classification,
     orbit_enumerate,
     q_apply_affine,
@@ -22,6 +24,7 @@ from rmcover import (
 )
 from rmcover.group import _StabilizerChain
 from rmcover.invariant import class_maps
+from search_pipeline import search_pipeline
 
 
 def orbit_minima_reference(s, t, m, sub):
@@ -411,58 +414,151 @@ class TestClassOf:
 
 class TestPipeline:
     def test_matches_oracle_223(self, sub112, oracle223):
-        cls, report = classify_pipeline(2, 2, 3, sub112, budget_iter=2048, seed=0)
+        cls, report = classify_pipeline(2, 2, 3, sub112)
         assert cls.n_classes == oracle223.n_classes
-        assert not report.unresolved_pairs
 
     def test_matches_oracle_234(self, sub123, oracle234):
-        cls, report = classify_pipeline(2, 3, 4, sub123, budget_iter=2048, seed=0)
+        cls, report = classify_pipeline(2, 3, 4, sub123)
         assert cls.n_classes == oracle234.n_classes
         assert cls.reps == oracle234.reps
-        assert not report.unresolved_pairs
 
     def test_matches_oracle_345(self, oracle234):
-        # this window contains a pair whose search is budget-hungry under an
-        # unlucky randomization; the retry policy must absorb it
         oracle345 = orbit_enumerate(3, 4, 5, stabilizers=False)
-        cls, report = classify_pipeline(3, 4, 5, oracle234, budget_iter=2048, seed=0)
+        cls, report = classify_pipeline(3, 4, 5, oracle234)
         assert cls.n_classes == oracle345.n_classes
         assert cls.reps == oracle345.reps
-        assert not report.unresolved_pairs
 
     def test_oracle_235_feeds_pipeline_346(self, oracle235):
         # 34 is the class count of B(2,3,6), the dual window of B(3,4,6):
         # an element fixes as many points of a window as of its dual, so
         # Burnside gives both windows the same number of orbits
-        cls, report = classify_pipeline(3, 4, 6, oracle235, seed=0)
+        cls, report = classify_pipeline(3, 4, 6, oracle235)
         assert cls.n_classes == 34
-        assert not report.unresolved_pairs
 
     def test_parallel_jobs_agree(self, sub123, oracle234):
-        cls, report = classify_pipeline(2, 3, 4, sub123, budget_iter=2048, seed=0, jobs=2)
+        cls, report = classify_pipeline(2, 3, 4, sub123, jobs=2)
         assert cls.n_classes == oracle234.n_classes
+        assert (cls.reps, cls.orbit_sizes) == (oracle234.reps, oracle234.orbit_sizes)
 
     def test_retries_settle_undefined_pairs(self):
         # at seed 28 one pair of B(2,3,6) stays Undefined through 3 searches
         # and is kept apart as an unresolved pair; more retries decide it
         sub = orbit_enumerate(1, 2, 5)
-        cls, report = classify_pipeline(2, 3, 6, sub, seed=28, retries=3)
+        cls, report = search_pipeline(2, 3, 6, sub, seed=28, retries=3)
         assert (cls.n_classes, report.equivalence_calls) == (35, 106)
         assert report.undefined_outcomes == 10
         assert report.unresolved_pairs == [(1061216, 1241514022)]
-        cls, report = classify_pipeline(2, 3, 6, sub, seed=28, retries=8)
+        cls, report = search_pipeline(2, 3, 6, sub, seed=28, retries=8)
         assert (cls.n_classes, report.equivalence_calls) == (34, 107)
         assert report.undefined_outcomes == 10
         assert not report.unresolved_pairs
         assert cls.digest == "6c3f590c9416ab65"
 
     def test_traced_bench_seed(self):
-        # the pipeline the benchmark traces: B(1,2,5) oracle, seed 211, 8 retries
+        # the pipeline the benchmark traced: B(1,2,5) oracle, seed 211, 8 retries
         sub = orbit_enumerate(1, 2, 5)
-        cls, report = classify_pipeline(2, 3, 6, sub, seed=211, retries=8)
+        cls, report = search_pipeline(2, 3, 6, sub, seed=211, retries=8)
         assert cls.digest == "6c3f590c9416ab65"
         assert (report.equivalence_calls, report.undefined_outcomes) == (101, 4)
         assert not report.unresolved_pairs
+
+
+@pytest.fixture(scope="module")
+def oracle125():
+    return orbit_enumerate(1, 2, 5)
+
+
+class TestLabels:
+    @pytest.mark.parametrize(
+        "params, sub_params",
+        [
+            ((2, 2, 3), (1, 1, 2)),
+            ((2, 3, 4), (1, 2, 3)),
+            ((3, 4, 5), (2, 3, 4)),
+            ((2, 3, 6), (1, 2, 5)),
+            ((3, 4, 6), (2, 3, 5)),
+        ],
+    )
+    def test_labels_match_the_search(self, params, sub_params, oracle125, oracle235):
+        # the search pipeline merges the same entries into the same classes:
+        # the smallest key of each is the representative both ways
+        sub = {(1, 2, 5): oracle125, (2, 3, 5): oracle235}.get(sub_params)
+        sub = sub or orbit_enumerate(*sub_params)
+        cls, report = classify_pipeline(*params, sub)
+        searched, _ = search_pipeline(*params, sub)
+        assert (cls.reps, cls.digest) == (searched.reps, searched.digest)
+        assert sum(cls.orbit_sizes) == 1 << cls.space.dim
+        assert report.n_buckets <= cls.n_classes
+
+    @pytest.mark.parametrize(
+        "params, sub_params",
+        [
+            ((2, 3, 4), (1, 2, 3)),
+            ((3, 4, 5), (2, 3, 4)),
+            ((2, 3, 5), (1, 2, 4)),
+            # windows with constants, whose classes 0 and 1 both have
+            # orbits of one point
+            ((1, 2, 4), (0, 1, 3)),
+            ((0, 3, 4), (0, 2, 3)),
+        ],
+    )
+    def test_orbit_sizes_and_labels_match_the_oracle(self, params, sub_params):
+        from rmcover.classify import _labeler
+
+        sub = orbit_enumerate(*sub_params)
+        oracle = orbit_enumerate(*params, stabilizers=False)
+        cls, _ = classify_pipeline(*params, sub)
+        assert (cls.reps, cls.orbit_sizes) == (oracle.reps, oracle.orbit_sizes)
+        # the entry labelling entry o A_v lies in the class of entry o A_v
+        # (here, the class of the entry itself)
+        space = quotient_space(*params)
+        cover = reduce_cover_set(*params, sub)
+        keys = np.array(list(cover.assembled(sub)))
+        labels = _labeler(space, sub, cover)(keys)
+        assert (oracle.lookup[keys[labels]] == oracle.lookup[keys][:, None]).all()
+
+    @pytest.mark.parametrize("params", [(2, 3, 5), (3, 4, 6)])
+    def test_transport_reaches_the_representative(self, params, sub124, oracle235):
+        # walking g back along the lower window's Schreier vector ends at
+        # its class representative, and the carried h is h o T for the
+        # transporter T composed from the inverse generators on that path
+        from rmcover.classify import _labeler, _walk_back
+
+        sub = {(2, 3, 5): sub124, (3, 4, 6): oracle235}[params]
+        space = quotient_space(*params)
+        h_space = quotient_space(params[0], params[1], params[2] - 1)
+        lab = _labeler(space, sub, reduce_cover_set(*params, sub))
+        rng = random.Random(7)
+        gs = [rng.randrange(1 << sub.space.dim) for _ in range(40)]
+        hs = [rng.randrange(1 << h_space.dim) for _ in range(40)]
+        ends, carried = _walk_back(
+            lab.schreier, lab.g_back, np.array(gs), carry=(lab.h_back, np.array(hs))
+        )
+        gens = sub.walk_generators()
+        assert ends.tolist() == [sub.reps[int(sub.lookup[g])] for g in gs]
+        for g, h, end, h_end in zip(gs, hs, ends.tolist(), carried.tolist()):
+            transporter = identity(sub.space.m)
+            while lab.schreier[g] >= 0:
+                step = invert(gens[lab.schreier[g]])
+                g = q_apply_affine(sub.space.function(g), step).key
+                transporter = compose(transporter, step)
+            assert g == end
+            assert q_apply_affine(h_space.function(h), transporter).key == h_end
+
+    def test_incomplete_stabilizer_list_refused(self, sub123, tmp_path):
+        # class 1 (g = a, orbit 7) loses the last generator of its
+        # irredundant list, which leaves a proper subgroup of Stab(a): its
+        # walks would split P-orbits, so the file is refused
+        path = tmp_path / "b123.cls"
+        save_classification(sub123, str(path))
+        lines = path.read_text().splitlines()
+        last = max(i for i, line in enumerate(lines) if line.startswith("S 1 "))
+        assert sum(line.startswith("S 1 ") for line in lines) > 1
+        assert sub123.orbit_sizes[1] > 1
+        del lines[last]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="class 1 generate"):
+            classify_pipeline(2, 3, 4, load_classification(str(path)))
 
 
 class TestFiles:
