@@ -54,6 +54,16 @@ def mobius_transform(bits: int, m: int) -> int:
     return bits
 
 
+def _butterflies(w: np.ndarray):
+    """Views (a, b) of the two halves of each block of 2, 4, .., len(w) rows."""
+    n = len(w)
+    if n == 0 or n & (n - 1):
+        raise ValueError("length must be a power of two")
+    for i in range(n.bit_length() - 1):
+        view = w.reshape(n >> (i + 1), 2, 1 << i, *w.shape[1:])
+        yield view[:, 0], view[:, 1]
+
+
 def wht(values) -> np.ndarray:
     """Integer Walsh-Hadamard transform along axis 0, without normalization.
 
@@ -62,17 +72,19 @@ def wht(values) -> np.ndarray:
     updates a reshaped view of the copy in place: (a, b) -> (a + b, a - b).
     """
     w = np.array(values, order="C")
-    n = len(w)
-    if n == 0 or n & (n - 1):
-        raise ValueError("length must be a power of two")
-    h = 1
-    while h < n:
-        view = w.reshape(n // (2 * h), 2, h, -1)
-        a, b = view[:, 0], view[:, 1]
+    for a, b in _butterflies(w):
         a += b
         b *= -2
         b += a
-        h *= 2
+    return w
+
+
+def mobius(values) -> np.ndarray:
+    """``mobius_transform`` of each column along axis 0, into a new array as
+    ``wht`` does: (a, b) -> (a, a ^ b)."""
+    w = np.array(values, order="C")
+    for a, b in _butterflies(w):
+        b ^= a
     return w
 
 

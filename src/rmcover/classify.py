@@ -36,9 +36,7 @@ from .group import (
     gf2_reduce,
     identity,
     invert,
-    invert_rows,
     subset_tables,
-    transpose_rows,
     transvection,
     xor_lookup,
 )
@@ -259,12 +257,6 @@ def _walk_back(vector, tables, points, base=0, column=0, carry=None):
             carried[todo] = _column_images(carry[0], carried[todo], col)
 
 
-def _inverse_images(images: Sequence[int], dim: int) -> list[int]:
-    """Images of the basis keys under the inverse of the invertible map that
-    sends basis key j to images[j]."""
-    return list(transpose_rows(invert_rows(transpose_rows(images, dim), dim), dim))
-
-
 # --- exact orbit enumeration ------------------------------------------------
 
 
@@ -365,9 +357,8 @@ def _orbit_stabilizer_gens(
             if ty_inv is None:
                 ty_inv = inv_transversal[y] = invert(transversal[y])
             sg = compose(txg, ty_inv)
-            if not chain.contains(sg):
+            if chain.add(sg):
                 selected.append(sg)
-                chain.add(sg)
     return selected
 
 
@@ -490,6 +481,9 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
         def compress(key: int) -> int:
             return sum(((key >> q) & 1) << j for j, q in enumerate(free))
 
+        def on_cosets(images: list[int]) -> list[int]:
+            return [compress(gf2_reduce(images[q], basis)) for q in free]
+
         forward = []
         for u in gens:
             images = action_matrix(h_space, u)
@@ -503,9 +497,8 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
                     f"stabilizer generator of class {g_idx} does not fix its "
                     "representative"
                 )
-            moved = [compress(gf2_reduce(images[q], basis)) for q in free]
-            forward.append(subset_tables(np.array(moved, dtype=np.int64), 8))
-            backs.append(_inverse_images(moved, len(free)))
+            forward.append(subset_tables(np.array(on_cosets(images), dtype=np.int64), 8))
+            backs.append(on_cosets(action_matrix(h_space, invert(u))))
         if sub.orbit_sizes[g_idx] > 1:
             _check_complete(sub, g_idx, gens)
         frees.append(free)

@@ -298,19 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sub", required=True, help="classification file of the lower window")
     pr.add_argument("--out", required=True)
     pr.add_argument("--report", default=None)
-    # the search options no longer act; they keep their defaults so that
-    # existing command lines run and their config digests stay the same
+    kept = "ignored; kept so that older command lines and their config digests stay valid"
     pr.add_argument(
         "--budget-iter",
         type=_count("the search budget per pair"),
         default=DEFAULT_ITER_BUDGET,
+        help=kept,
     )
     pr.add_argument(
         "--budget-retries",
         type=_count("the number of searches per pair"),
         default=3,
+        help=kept,
     )
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--seed", type=int, default=0, help=kept)
     _add_jobs_argument(pr)
     pr.set_defaults(func=_cmd_classify)
 

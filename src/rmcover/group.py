@@ -291,13 +291,16 @@ class _StabilizerChain:
     def contains(self, g: AffineTransformation) -> bool:
         return self.sift(g)[1] is None
 
-    def add(self, g: AffineTransformation, level: int = 0) -> None:
-        """Extend the group by g, which fixes base[:level]."""
+    def add(self, g: AffineTransformation, level: int = 0) -> bool:
+        """Extend the group by g, which fixes base[:level]; False if g is in it."""
         g, j = self.sift(g, level)
         if j is None:
-            return
+            return False
         for i in range(j + 1):
             self.gens[i].append(g)
+        # the order grows only with an orbit, here or in an extending nested add
+        if self.order() == self.target:
+            return True
         for i in range(j, -1, -1):
             orbit, forward = self.orbits[i], self._forward[i]
             gens, checked = self.gens[i], self._checked[i]
@@ -307,15 +310,16 @@ class _StabilizerChain:
                 (p, k) for p in orbit for k in range(len(gens)) if (p, k) not in checked
             ]:
                 for p, k in pending:
-                    if self.order() == self.target:
-                        return
                     if (p, k) in checked:
                         continue
                     checked.add((p, k))
                     x = compose(gens[k], forward[p])
                     q = x.apply(self.base[i])
-                    if q in orbit:
-                        self.add(x, i)
-                    else:
+                    if q not in orbit:
                         forward[q] = x
                         orbit[q] = invert(x)
+                    elif not self.add(x, i):
+                        continue
+                    if self.order() == self.target:
+                        return True
+        return True

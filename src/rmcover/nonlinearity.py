@@ -428,12 +428,10 @@ def covering_radius_exact(k: int, m: int) -> int:
 
 
 def _radius_first_order_batched(m: int, free_masks: list[int]) -> int:
-    # one column per coset, one row per point: butterflies become contiguous
-    # row operations; WHT values stay within +-2^m so int8 suffices for m <= 5
+    # a column per coset, a row per point; int8 holds |WHT| <= 2^m for m <= 5
     n = 1 << m
     n_free = len(free_masks)
-    batch_bits = min(n_free, 18)
-    batch = 1 << batch_bits
+    batch = 1 << min(n_free, 18)
     dtype = np.int8 if m <= 5 else np.int32
     radius = 0
     base_idx = np.arange(batch, dtype=np.int64)
@@ -442,15 +440,8 @@ def _radius_first_order_batched(m: int, free_masks: list[int]) -> int:
         anf = np.zeros((n, batch), dtype=dtype)
         for j, mask in enumerate(free_masks):
             anf[mask] = (idx >> j) & 1
-        for i in range(m):
-            h = 1 << i
-            for base in range(0, n, 2 * h):
-                anf[base + h : base + 2 * h] ^= anf[base : base + h]
-        w = bf.wht(1 - 2 * anf)
-        nl = (n // 2) - np.max(np.abs(w), axis=0).astype(np.int64) // 2
-        m_nl = int(nl.max())
-        if m_nl > radius:
-            radius = m_nl
+        w = bf.wht(1 - 2 * bf.mobius(anf))
+        radius = max(radius, n // 2 - int(np.abs(w).max(axis=0).min()) // 2)
     return radius
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from . import boolfun as bf
 from .boolfun import AnfPolynomial, BooleanFunction
 from .group import AffineTransformation, gf2_echelon, gf2_reduce
@@ -270,19 +272,16 @@ def action_matrix(space: QuotientSpace, s: AffineTransformation) -> list[int]:
     """Key images of the basis monomials under the induced action.
 
     The induced action is linear on the quotient, so applying s to any key is
-    the XOR of the images of its set bits.
+    the XOR of the images of its set bits, read off the Moebius transforms
+    of the monomials masks[j] o s at the rows of the masks.
     """
     if space.m != s.m:
         raise ValueError("dimension mismatch")
-    points = bf.affine_point_map(s)
-    images = []
-    for mask in space.masks:
-        tt = 0
-        for x, y in enumerate(points):
-            if y & mask == mask:
-                tt |= 1 << x
-        images.append(space.key_from_anf(bf.mobius_transform(tt, space.m)))
-    return images
+    points = np.array(bf.affine_point_map(s), dtype=np.int64)
+    masks = np.array(space.masks, dtype=np.int64)
+    anf = bf.mobius((points[:, None] & masks) == masks)[masks]
+    packed = np.packbits(anf.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def apply_key(images: list[int], key: int) -> int:

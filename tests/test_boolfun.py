@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rmcover import (
@@ -23,7 +24,7 @@ from rmcover import (
     tt_to_hex,
     weight,
 )
-from rmcover.boolfun import anf_degree, degree, translate_truth_table
+from rmcover.boolfun import anf_degree, degree, mobius, translate_truth_table
 
 
 def anf(text, m):
@@ -63,6 +64,25 @@ class TestMobius:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mobius_transform(1 << 16, 2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64])
+    def test_array_columns_match_scalar(self, dtype):
+        rng = np.random.default_rng(3)
+        for m in range(1, 11):
+            tables = rng.integers(0, 2, size=(1 << m, 3)).astype(dtype)
+            before = tables.copy()
+            out = mobius(tables)
+            assert out.dtype == dtype and np.array_equal(tables, before)
+            for c in range(3):
+                column = [int(b) << x for x, b in enumerate(tables[:, c])]
+                want = mobius_transform(sum(column), m)
+                assert out[:, c].tolist() == [(want >> x) & 1 for x in range(1 << m)]
+                assert np.array_equal(mobius(tables[:, c]), out[:, c])
+
+    def test_array_length_not_power_of_two(self):
+        for values in ([1, 0, 1], [], np.zeros((6, 2), dtype=np.int8)):
+            with pytest.raises(ValueError):
+                mobius(values)
 
 
 class TestWeightDegree:

@@ -21,6 +21,7 @@ from rmcover import (
     to_anf,
 )
 from rmcover import boolfun as bf
+from rmcover.quotient import action_matrix
 
 
 def qf(text, s, t, m):
@@ -162,6 +163,17 @@ SUITE_WINDOWS = [
     (3, 3, 3), (3, 3, 4), (3, 3, 5), (3, 3, 8), (3, 4, 6), (4, 3, 4), (5, 5, 7),
     (5, 6, 8),
 ]
+
+
+@pytest.mark.parametrize("params", SUITE_WINDOWS)
+def test_action_matrix_matches_scalar_action(params):
+    # the empty window (4,3,4) gives an empty matrix
+    space = quotient_space(*params)
+    rng = random.Random(space.dim)
+    for _ in range(3):
+        s = random_affine(space.m, rng)
+        want = [q_apply_affine(space.function(1 << j), s).key for j in range(space.dim)]
+        assert action_matrix(space, s) == want
 
 
 class TestDecomposition:
