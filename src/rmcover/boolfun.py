@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import AffineTransformation, transpose_rows
+from .group import AffineTransformation, base_images, point_table
 
 MAX_VARS = 16
 
@@ -177,30 +177,13 @@ def dirac(a: int, m: int) -> BooleanFunction:
     return BooleanFunction(m, 1 << a)
 
 
-def affine_point_map(s: AffineTransformation) -> list[int]:
-    """s(x) for every point x, in point order."""
-    n = 1 << s.m
-    out = [s.trans] * n
-    # Gray-code walk: consecutive codes differ in one coordinate.
-    y = s.trans
-    cols = transpose_rows(s.rows, s.m)
-    prev_gray = 0
-    for x in range(1, n):
-        gray = x ^ (x >> 1)
-        i = (gray ^ prev_gray).bit_length() - 1
-        y ^= cols[i]
-        out[gray] = y
-        prev_gray = gray
-    return out
-
-
 def apply_affine(f: BooleanFunction, s: AffineTransformation) -> BooleanFunction:
     """The composition f(s(x)) pointwise."""
     if f.m != s.m:
         raise ValueError("dimension mismatch")
     tt = f.tt
     out = 0
-    for x, y in enumerate(affine_point_map(s)):
+    for x, y in enumerate(point_table(base_images(s))):
         out |= ((tt >> y) & 1) << x
     return BooleanFunction(f.m, out)
 

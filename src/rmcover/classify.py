@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from random import Random
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,11 +33,14 @@ from .group import (
     _StabilizerChain,
     agl_generators,
     agl_order,
-    compose,
+    base_images,
+    from_base_images,
     gf2_echelon,
     gf2_reduce,
     identity,
+    inverse_table,
     invert,
+    point_table,
     subset_tables,
     transvection,
     xor_lookup,
@@ -136,6 +141,7 @@ class Classification:
 
 
 _SCAN_BLOCK = 1 << 12
+_WALK_BLOCK = 1 << 14
 _UNSEEN = -1  # Schreier vector entry of a point no walk has reached
 _START = -2  # entry of a walk's start; every other point holds a generator index
 
@@ -189,7 +195,9 @@ def _walk_orbit(
     start gets _START and every other point the index of the map that first
     reached it; ``lookup``, when given, gets value over the orbit.  Each map
     is a bijection and its fresh images are recorded before the next map
-    runs, so the frontier never holds a key twice.
+    runs, so the frontier never holds a key twice.  A map reads the frontier
+    in blocks of _WALK_BLOCK keys, which bounds its temporaries; its images
+    of two blocks are disjoint, so the blocks change nothing recorded.
     """
     vector[start] = _START
     frontier = np.array([start], dtype=np.int64)
@@ -198,16 +206,22 @@ def _walk_orbit(
     while frontier.size:
         if lookup is not None:
             lookup[frontier] = value
-        index = _key_bytes(frontier, groups)
+        blocks = [
+            _key_bytes(frontier[i : i + _WALK_BLOCK], groups)
+            for i in range(0, frontier.size, _WALK_BLOCK)
+        ]
         parts = []
         for k, tab in enumerate(tables):
-            img = xor_lookup(tab, index)
-            fresh = img[vector[img] == _UNSEEN]
-            if fresh.size:
-                vector[fresh] = k
-                parts.append(fresh)
-                size += fresh.size
-        frontier = np.concatenate(parts) if parts else frontier[:0]
+            for index in blocks:
+                img = xor_lookup(tab, index)
+                fresh = img[vector[img] == _UNSEEN]
+                if fresh.size:
+                    vector[fresh] = k
+                    parts.append(fresh)
+                    size += fresh.size
+        # the level is freed before the next one is joined
+        del frontier, blocks
+        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     return size
 
 
@@ -238,19 +252,20 @@ def _walk_back(vector, tables, points, base=0, column=0, carry=None):
     that generator's inverse; ``base`` and ``column`` are per point or
     shared.  Each step moves every point not yet at a start.  ``carry`` is
     (tables, keys): each step applies the same column of its tables to the
-    carried keys.  Returns the starts and the carried keys (or None).
+    carried keys.  Returns the starts, the carried keys (or None) and the
+    number of steps, the longest walk back among the points.
     """
     points = points.copy()
     base = np.broadcast_to(base, points.shape)
     column = np.broadcast_to(column, points.shape)
     carried = None if carry is None else carry[1].copy()
     todo = np.arange(points.size)
-    while True:
+    for steps in itertools.count():
         k = vector[base[todo] + points[todo]]
         moving = k >= 0
         todo, k = todo[moving], k[moving]
         if not todo.size:
-            return points, carried
+            return points, carried, steps
         col = column[todo] + k
         points[todo] = _column_images(tables, points[todo], col)
         if carry is not None:
@@ -298,8 +313,9 @@ def orbit_enumerate(
 
     stab_lists: Optional[list[Optional[list[AffineTransformation]]]] = None
     if stabilizers:
+        byte_tables = [tab.tolist() for tab in tables]
         stab_lists = [
-            _orbit_stabilizer_gens(m, gens, images_per_gen, rep, size)
+            _orbit_stabilizer_gens(m, gens, byte_tables, rep, size)
             for rep, size in zip(reps, sizes)
         ]
 
@@ -318,7 +334,7 @@ def orbit_enumerate(
 def _orbit_stabilizer_gens(
     m: int,
     gens: Sequence[AffineTransformation],
-    images_per_gen: Sequence[Sequence[int]],
+    byte_tables: Sequence[Sequence[Sequence[int]]],
     rep: int,
     orbit_size: int,
 ) -> list[AffineTransformation]:
@@ -328,15 +344,20 @@ def _orbit_stabilizer_gens(
     reaches a new point y sets t_y = t_x g, and its Schreier generator is the
     identity; an edge that reaches a known y gives t_x g t_y^-1, which is
     kept exactly when it does not sift through the stabilizer chain of those
-    kept before it.  The walk stops as soon as the chain has the order
-    |AGL| / |orbit| that orbit-stabilizer gives for Stab(rep), usually long
-    before the orbit is covered.
+    kept before it.  The transversal is held as point tables and the
+    Schreier generators as base images, as the chain holds its elements, so
+    only the kept ones become affine maps.  The walk stops as soon as the
+    chain has the order |AGL| / |orbit| that orbit-stabilizer gives for
+    Stab(rep), usually long before the orbit is covered.  Each generator
+    moves keys by its ``subset_tables``, as nested lists, one key byte a
+    group.
     """
     stab_order = agl_order(m) // orbit_size
     chain = _StabilizerChain(m, stab_order)
+    gen_tables = [point_table(base_images(g)) for g in gens]
     selected: list[AffineTransformation] = []
-    transversal: dict[int, AffineTransformation] = {rep: identity(m)}
-    inv_transversal: dict[int, AffineTransformation] = {}
+    transversal = {rep: point_table(chain.base)}
+    inv_base: dict[int, list[int]] = {}  # y -> base images of t_y^-1
     queue = deque([rep])
     while chain.order() != stab_order:
         if not queue:
@@ -346,19 +367,22 @@ def _orbit_stabilizer_gens(
             )
         x = queue.popleft()
         tx = transversal[x]
-        for gi, images in enumerate(images_per_gen):
-            y = apply_key(images, x)
-            txg = compose(tx, gens[gi])
+        key_bytes = [(x >> shift) & 255 for shift in range(0, 8 * len(byte_tables[0]), 8)]
+        for groups, gen in zip(byte_tables, gen_tables):
+            y = 0
+            for group, byte in zip(groups, key_bytes):
+                y ^= group[byte]
             if y not in transversal:
-                transversal[y] = txg
+                transversal[y] = [tx[p] for p in gen]
                 queue.append(y)
                 continue
-            ty_inv = inv_transversal.get(y)
+            ty_inv = inv_base.get(y)
             if ty_inv is None:
-                ty_inv = inv_transversal[y] = invert(transversal[y])
-            sg = compose(txg, ty_inv)
-            if chain.add(sg):
-                selected.append(sg)
+                inv = inverse_table(transversal[y])
+                ty_inv = inv_base[y] = [inv[b] for b in chain.base]
+            sg = [tx[gen[b]] for b in ty_inv]
+            if chain.add_images(sg):
+                selected.append(from_base_images(m, sg))
     return selected
 
 
@@ -373,8 +397,8 @@ class CoverWalks:
     ``starts`` holds the vector positions of the walks' starts in entry
     order.  Column i of the ``_side_by_side`` tables ``reduce`` sends an h
     key to its point of slice i, column gen_base[i] + k of ``back`` holds
-    the inverse of slice i's generator k on V/T_i, and ``sizes`` are the
-    entries' P-orbit sizes.
+    the inverse of slice i's generator k on V/T_i, gen_base[-1] counts the
+    generators of all slices, and ``sizes`` are the entries' P-orbit sizes.
     """
 
     vector: np.ndarray
@@ -448,11 +472,9 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
     densely by deleting those bits.  The walks record their Schreier
     vectors in the cover's ``walks``.
 
-    Stabilizer lists may come from a file, so each u is checked to fix g and
-    to map T into T, and each list to generate all of Stab(g), the
-    |AGL(m-1,2)| / |orbit(g)| elements: a walk under part of it would split
-    a P-orbit.  A g whose orbit is one point is fixed by the whole group, so
-    its walk takes the lower window's ``walk_generators()`` instead.
+    Stabilizer lists may come from a file, so each list is checked before
+    its walk, which goes by a few elements drawn from its stabilizer chain
+    (``_slice_generators``).
     """
     _check_sub(s, t, m, sub)
     if sub.stabilizer_gens is None:
@@ -467,7 +489,6 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
 
     frees, dims_t, forwards, backs, reduces = [], [], [], [], []
     for g_idx in range(sub.n_classes):
-        gens = _slice_generators(sub, g_idx)
         g_fn = sub.rep_function(g_idx)
         basis = gf2_echelon(
             multiply_affine_form(1 << alpha_mask, g_fn, s, t).key
@@ -485,22 +506,11 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
             return [compress(gf2_reduce(images[q], basis)) for q in free]
 
         forward = []
-        for u in gens:
-            images = action_matrix(h_space, u)
-            if any(gf2_reduce(apply_key(images, b), basis) for b in basis):
-                raise ValueError(
-                    f"stabilizer generator of class {g_idx} does not preserve "
-                    "the span of the alpha*g translations"
-                )
-            if apply_key(action_matrix(sub.space, u), g_fn.key) != g_fn.key:
-                raise ValueError(
-                    f"stabilizer generator of class {g_idx} does not fix its "
-                    "representative"
-                )
-            forward.append(subset_tables(np.array(on_cosets(images), dtype=np.int64), 8))
+        for u in _slice_generators(sub, g_idx, h_space, basis):
+            forward.append(
+                subset_tables(np.array(on_cosets(action_matrix(h_space, u)), dtype=np.int64), 8)
+            )
             backs.append(on_cosets(action_matrix(h_space, invert(u))))
-        if sub.orbit_sizes[g_idx] > 1:
-            _check_complete(sub, g_idx, gens)
         frees.append(free)
         dims_t.append(len(basis))
         forwards.append(forward)
@@ -528,36 +538,61 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
         starts=np.array(starts, dtype=np.int64),
         reduce=_side_by_side(reduces, h_space.dim),
         back=_side_by_side(backs, max(map(len, frees))),
-        gen_base=gen_base[:-1],
+        gen_base=gen_base,
         sizes=sizes,
     )
     return CoverSet(s, t, m, len(entries), entries, walks)
 
 
-def _slice_generators(sub: Classification, g_idx: int) -> list[AffineTransformation]:
-    """The maps the V/T walk of class g_idx goes by: its stabilizer list, or
-    the window's generators when the whole group fixes its representative."""
-    if sub.orbit_sizes[g_idx] == 1:
-        return sub.walk_generators()
+def _slice_generators(
+    sub: Classification, g_idx: int, h_space: QuotientSpace, basis: Sequence[int]
+) -> list[AffineTransformation]:
+    """The maps the V/T walk of class g_idx goes by, drawn from its checked
+    stabilizer.
+
+    Each stabilizer generator of the file must fix the representative and
+    map T, spanned by the echelon ``basis``, into itself, and together they
+    must generate all of Stab(g), the |AGL(m-1,2)| / |orbit(g)| elements: a
+    walk under part of it would split a P-orbit.  Any generating set gives
+    the walk the same orbits, so it goes by uniform elements of the checked
+    chain, drawn with the class index as seed until they generate the group
+    again, each kept when it extends the group of those before it; that is
+    usually two or three maps where the file has more.
+    """
     stab = sub.stabilizer_gens[g_idx]
     if stab is None:
         raise ValueError(f"missing stabilizer generators for class {g_idx}")
-    return stab
-
-
-def _check_complete(sub: Classification, g_idx: int, gens) -> None:
-    """Refuse generators, each known to fix rep g_idx, that do not generate
-    its whole stabilizer, |AGL| / |orbit| elements (Schreier-Sims)."""
+    g_key = sub.reps[g_idx]
+    for u in stab:
+        images = action_matrix(h_space, u)
+        if any(gf2_reduce(apply_key(images, b), basis) for b in basis):
+            raise ValueError(
+                f"stabilizer generator of class {g_idx} does not preserve "
+                "the span of the alpha*g translations"
+            )
+        if apply_key(action_matrix(sub.space, u), g_key) != g_key:
+            raise ValueError(
+                f"stabilizer generator of class {g_idx} does not fix its "
+                "representative"
+            )
     m = sub.space.m
     order = agl_order(m) // sub.orbit_sizes[g_idx]
     chain = _StabilizerChain(m, order)
-    for u in gens:
+    for u in stab:
         chain.add(u)
     if chain.order() != order:
         raise ValueError(
             f"stabilizer generators of class {g_idx} generate {chain.order()} "
             f"of the {order} elements of its stabilizer"
         )
+    rng = Random(g_idx)
+    drawn = _StabilizerChain(m, order)
+    maps = []
+    while drawn.order() != order:
+        images = chain.draw(rng)
+        if drawn.add_images(images):
+            maps.append(from_base_images(m, images))
+    return maps
 
 
 # --- P-orbit labels and the pipeline -------------------------------------------
@@ -608,18 +643,19 @@ class _Labeler:
     h_back: np.ndarray  # the same maps on the h window
     walks: CoverWalks
 
-    def __call__(self, keys: np.ndarray) -> np.ndarray:
-        """Entry labels, row i for keys[i] and column v - 1 for direction v."""
+    def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+        """Entry labels, row i for keys[i] and column v - 1 for direction v,
+        and the longest walks back, on the lower window and on V/T."""
         moved = xor_lookup(self.directions, _key_bytes(keys, len(self.directions))).ravel()
         g, h = moved >> self.h_dim, moved & ((1 << self.h_dim) - 1)
         cls = self.lookup[g].astype(np.int64)
-        _, h = _walk_back(self.schreier, self.g_back, g, carry=(self.h_back, h))
+        _, h, lower = _walk_back(self.schreier, self.g_back, g, carry=(self.h_back, h))
         w = self.walks
-        point, _ = _walk_back(
+        point, _, cover = _walk_back(
             w.vector, w.back, _column_images(w.reduce, h, cls), w.offsets[cls], w.gen_base[cls]
         )
         entry = np.searchsorted(w.starts, w.offsets[cls] + point)
-        return entry.reshape(len(keys), self.directions.shape[2])
+        return entry.reshape(len(keys), self.directions.shape[2]), (lower, cover)
 
 
 def _labeler(space: QuotientSpace, sub: Classification, cover: CoverSet) -> _Labeler:
@@ -645,6 +681,10 @@ class PipelineReport:
     reduced_cover_size: int
     n_buckets: int
     n_classes: int
+    walk_gens_drawn: int  # V/T walk generators, all slices
+    walk_gens_file: int  # stabilizer generators of the lower window's file
+    depth_lower: int  # longest walk back in the label pass, lower window
+    depth_cover: int  # and on V/T
 
 
 def classify_pipeline(
@@ -659,7 +699,9 @@ def classify_pipeline(
     entries of a class the same label set.  A class is represented by its
     smallest key; its orbit size is the sum of its entries' P-orbit sizes.
     The J-hat signatures bucket the entries for the report, and no class may
-    span two buckets.
+    span two buckets.  The report counts the V/T walks' generators against
+    the file's and the longest walks back of the label pass, which fewer
+    generators make deeper.
     """
     _check_sub(s, t, m, sub)
 
@@ -675,9 +717,11 @@ def classify_pipeline(
     if jobs > 1 and len(keys) > 1:
         from .parallel import resolve_buckets_parallel
 
-        labels = np.concatenate(resolve_buckets_parallel(label, np.array_split(keys, jobs), jobs))
+        parts = resolve_buckets_parallel(label, np.array_split(keys, jobs), jobs)
     else:
-        labels = label(keys)
+        parts = [label(keys)]
+    labels = np.concatenate([part for part, _ in parts])
+    depth_lower, depth_cover = np.max([depths for _, depths in parts], axis=0).tolist()
 
     if not np.array_equal(labels[:, (1 << (m - 1)) - 1], np.arange(len(keys))):
         raise RuntimeError("direction e_m moved a cover entry off its own P-orbit")
@@ -690,11 +734,10 @@ def classify_pipeline(
         raise RuntimeError("entries of one class give different label sets")
 
     rep_of = keys[labels].min(axis=1)
-    rep_keys = np.unique(rep_of)
-    class_idx = np.searchsorted(rep_keys, rep_of).tolist()
+    rep_keys, class_idx = np.unique(rep_of, return_inverse=True)
     sizes = [0] * len(rep_keys)
     bucket: dict = {}
-    for c, size, sig in zip(class_idx, cover.walks.sizes, signatures):
+    for c, size, sig in zip(class_idx.tolist(), cover.walks.sizes, signatures):
         sizes[c] += size
         if bucket.setdefault(c, sig) != sig:
             raise RuntimeError(f"class {c} spans two invariant buckets")
@@ -711,6 +754,10 @@ def classify_pipeline(
         reduced_cover_size=cover.size,
         n_buckets=len(set(signatures)),
         n_classes=cls.n_classes,
+        walk_gens_drawn=int(cover.walks.gen_base[-1]),
+        walk_gens_file=sum(map(len, sub.stabilizer_gens)),
+        depth_lower=depth_lower,
+        depth_cover=depth_cover,
     )
     return cls, report
 

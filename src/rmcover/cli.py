@@ -142,6 +142,10 @@ def _cmd_classify(args) -> int:
         f"cover {report.reduced_cover_size} (initial {report.initial_cover_size}) "
         "equiv-calls 0"
     )
+    lines.append(
+        f"walk-gens drawn {report.walk_gens_drawn} file {report.walk_gens_file} "
+        f"walk-back lower {report.depth_lower} cover {report.depth_cover}"
+    )
     _emit(lines, args.report)
     print(f"classes {report.n_classes} -> {args.out}")
     return 0

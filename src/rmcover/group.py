@@ -246,15 +246,49 @@ def agl_order(m: int) -> int:
     return order
 
 
+def base_images(s: AffineTransformation) -> tuple[int, ...]:
+    """Images of the affine base 0, e_1, ..., e_m under s, which determine s."""
+    return (s.trans,) + tuple(c ^ s.trans for c in transpose_rows(s.rows, s.m))
+
+
+def from_base_images(m: int, images: Sequence[int]) -> AffineTransformation:
+    """The affine map with the given images of the base 0, e_1, ..., e_m."""
+    return AffineTransformation(
+        m, transpose_rows([b ^ images[0] for b in images[1:]], m), images[0]
+    )
+
+
+def point_table(images: Sequence[int]) -> list[int]:
+    """s(x) for every point x, in point order, from the base images of s.
+
+    The points with top bit i are those below 2^i moved by column i of the
+    linear part, so the table doubles once per base vector.
+    """
+    table = [images[0]]
+    for b in images[1:]:
+        column = b ^ images[0]
+        table += [y ^ column for y in table]
+    return table
+
+
+def inverse_table(table: Sequence[int]) -> list[int]:
+    """The point table of the inverse map."""
+    return sorted(range(len(table)), key=table.__getitem__)
+
+
 class _StabilizerChain:
     """Stabilizer chain of a subgroup of AGL(m,2), grown by Schreier-Sims.
 
     The base is the affine basis 0, e_1, ..., e_m, which only the identity
-    fixes.  Level i keeps the strong generators that fix base[:i] and the
-    orbit of base[i] under them, as dicts from each point p to a coset
-    representative that maps base[i] to p and to its inverse.  Every Schreier
-    generator of a level sifts through the levels below it, so the group
-    order is the product of the orbit lengths.
+    fixes, so an element is its base images (``base_images``) and a product
+    g o h has the base images g(h(b)), read off the point table of g
+    (``point_table``).  Level i keeps the point tables of the strong
+    generators that fix base[:i] and the orbit of base[i] under them: a dict
+    from each point p to the point table of the inverse of a coset
+    representative that maps base[i] to p, and one to the representative's
+    base images.  Sifting is one dict lookup and m + 1 table reads a level.
+    Every Schreier generator of a level sifts through the levels below it,
+    so the group order is the product of the orbit lengths.
 
     ``order`` is the order of a group known to contain every element added,
     such as |AGL| / |orbit| for a stabilizer.  Each stored orbit lies in the
@@ -266,38 +300,47 @@ class _StabilizerChain:
 
     def __init__(self, m: int, order: int):
         self.target = order
-        self.base = [0] + [1 << i for i in range(m)]
-        self.gens: list[list[AffineTransformation]] = [[] for _ in self.base]
-        self.orbits = [{b: identity(m)} for b in self.base]  # p -> inverse representative
-        self._forward = [{b: identity(m)} for b in self.base]  # p -> representative
+        self.base = (0,) + tuple(1 << i for i in range(m))
+        ident = point_table(self.base)
+        self.gens: list[list[list[int]]] = [[] for _ in self.base]  # point tables
+        self.orbits = [{b: ident} for b in self.base]  # p -> inverse representative's table
+        self._forward = [{b: self.base} for b in self.base]  # p -> representative's base images
         self._checked: list[set[tuple[int, int]]] = [set() for _ in self.base]
 
     def order(self) -> int:
         return math.prod(len(orbit) for orbit in self.orbits)
 
-    def sift(self, g: AffineTransformation, level: int = 0):
-        """Strip g by the coset representatives from level on.
+    def sift(self, images: Sequence[int], level: int = 0):
+        """Strip the element with these base images by the coset
+        representatives from level on.
 
-        Returns the residue and the level whose orbit misses its image of
-        the base point, or None as the level when g is in the group.
+        Returns the residue's base images and the level whose orbit misses
+        its image of the base point, or None as the level when the element
+        is in the group.
         """
         for i in range(level, len(self.base)):
-            inv = self.orbits[i].get(g.apply(self.base[i]))
+            inv = self.orbits[i].get(images[i])
             if inv is None:
-                return g, i
-            g = compose(inv, g)
-        return g, None
+                return images, i
+            images = [inv[b] for b in images]
+        return images, None
 
     def contains(self, g: AffineTransformation) -> bool:
-        return self.sift(g)[1] is None
+        return self.sift(base_images(g))[1] is None
 
-    def add(self, g: AffineTransformation, level: int = 0) -> bool:
-        """Extend the group by g, which fixes base[:level]; False if g is in it."""
-        g, j = self.sift(g, level)
+    def add(self, g: AffineTransformation) -> bool:
+        """Extend the group by g; False if g is in it."""
+        return self.add_images(base_images(g))
+
+    def add_images(self, images: Sequence[int], level: int = 0) -> bool:
+        """Extend the group by the element with these base images, which
+        fixes base[:level]; False if it is in the group."""
+        images, j = self.sift(images, level)
         if j is None:
             return False
+        table = point_table(images)
         for i in range(j + 1):
-            self.gens[i].append(g)
+            self.gens[i].append(table)
         # the order grows only with an orbit, here or in an extending nested add
         if self.order() == self.target:
             return True
@@ -313,13 +356,28 @@ class _StabilizerChain:
                     if (p, k) in checked:
                         continue
                     checked.add((p, k))
-                    x = compose(gens[k], forward[p])
-                    q = x.apply(self.base[i])
+                    gen = gens[k]
+                    x = [gen[b] for b in forward[p]]
+                    q = x[i]
                     if q not in orbit:
                         forward[q] = x
-                        orbit[q] = invert(x)
-                    elif not self.add(x, i):
+                        orbit[q] = inverse_table(point_table(x))
+                    elif not self.add_images(x, i):
                         continue
                     if self.order() == self.target:
                         return True
         return True
+
+    def draw(self, rng: Random) -> list[int]:
+        """Base images of a uniform element of a complete chain's group.
+
+        Each element is u_0 o u_1 o ... o u_m for one coset representative
+        u_i per level, so a uniform choice per level is a uniform element;
+        the product of their inverses, also uniform, reads off the stored
+        inverse tables.
+        """
+        images = self.base
+        for orbit in self.orbits:
+            inv = orbit[rng.choice(list(orbit))]
+            images = [inv[b] for b in images]
+        return images

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import boolfun as bf
 from .boolfun import AnfPolynomial, BooleanFunction
-from .group import AffineTransformation, gf2_echelon, gf2_reduce
+from .group import AffineTransformation, base_images, gf2_echelon, gf2_reduce, point_table
 
 
 @lru_cache(maxsize=None)
@@ -277,7 +277,7 @@ def action_matrix(space: QuotientSpace, s: AffineTransformation) -> list[int]:
     """
     if space.m != s.m:
         raise ValueError("dimension mismatch")
-    points = np.array(bf.affine_point_map(s), dtype=np.int64)
+    points = np.array(point_table(base_images(s)), dtype=np.int64)
     masks = np.array(space.masks, dtype=np.int64)
     anf = bf.mobius((points[:, None] & masks) == masks)[masks]
     packed = np.packbits(anf.T, axis=1, bitorder="little")

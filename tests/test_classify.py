@@ -22,7 +22,7 @@ from rmcover import (
     reduce_cover_set,
     save_classification,
 )
-from rmcover.group import _StabilizerChain
+from rmcover.group import _StabilizerChain, from_base_images
 from rmcover.invariant import class_maps
 from search_pipeline import search_pipeline
 
@@ -230,6 +230,25 @@ class TestStabilizerChain:
         for m in (2, 3, 4):
             assert (m, 1) in orders
             assert len({n for mm, n in orders if mm == m and 1 < n < agl_order(m)}) >= 2
+
+    def test_draws_are_uniform_members(self):
+        # a complete chain's draws stay in the group and reach every element
+        # about equally often
+        rng = random.Random(23)
+        for m in (2, 3):
+            gens = [random_affine(m, rng) for _ in range(2)]
+            closure = closure_keys(gens, m)
+            chain = _StabilizerChain(m, len(closure))
+            for g in gens:
+                chain.add(g)
+            assert chain.order() == len(closure)
+            counts = {}
+            for _ in range(40 * len(closure)):
+                g = from_base_images(m, chain.draw(rng))
+                counts[g.rows, g.trans] = counts.get((g.rows, g.trans), 0) + 1
+            assert set(counts) == closure
+            # 40 draws an element on average, a standard deviation near 6
+            assert 10 < min(counts.values()) and max(counts.values()) < 80
 
 
 class TestCoverSets:
@@ -439,6 +458,8 @@ class TestPipeline:
         cls, report = classify_pipeline(2, 3, 4, sub123, jobs=2)
         assert cls.n_classes == oracle234.n_classes
         assert (cls.reps, cls.orbit_sizes) == (oracle234.reps, oracle234.orbit_sizes)
+        # the counters, walk-back depths included, do not depend on the chunks
+        assert report == classify_pipeline(2, 3, 4, sub123)[1]
 
     def test_retries_settle_undefined_pairs(self):
         # at seed 28 one pair of B(2,3,6) stays Undefined through 3 searches
@@ -466,6 +487,105 @@ class TestPipeline:
 @pytest.fixture(scope="module")
 def oracle125():
     return orbit_enumerate(1, 2, 5)
+
+
+def slice_translations(sub, g_idx, s, t):
+    """Echelon basis of T, the span of the alpha*g keys of one slice."""
+    from rmcover.group import gf2_echelon
+    from rmcover.quotient import multiply_affine_form
+
+    g_fn = sub.rep_function(g_idx)
+    return gf2_echelon(
+        multiply_affine_form(1 << alpha, g_fn, s, t).key
+        for alpha in [0] + [1 << i for i in range(sub.space.m)]
+    )
+
+
+def file_generator_walks(s, t, m, sub):
+    """Entries and P-orbit sizes of V/T walks by the file's stabilizer
+    generators, with tables built here from their action matrices."""
+    from rmcover.classify import _schreier_vector, _unseen, _walk_orbit
+    from rmcover.group import gf2_reduce, subset_tables
+    from rmcover.quotient import action_matrix
+
+    h_space = quotient_space(s, t, m - 1)
+    entries, sizes = [], []
+    for g_idx in range(sub.n_classes):
+        basis = slice_translations(sub, g_idx, s, t)
+        pivots = {b.bit_length() - 1 for b in basis}
+        free = [q for q in range(h_space.dim) if q not in pivots]
+
+        def on_cosets(key):
+            key = gf2_reduce(key, basis)
+            return sum(((key >> q) & 1) << j for j, q in enumerate(free))
+
+        tables = []
+        for u in sub.stabilizer_gens[g_idx]:
+            images = action_matrix(h_space, u)
+            rows = [on_cosets(images[q]) for q in free]
+            tables.append(subset_tables(np.array(rows, dtype=np.int64), 8))
+        vector = _schreier_vector(1 << len(free), len(tables))
+        for start in _unseen(vector):
+            walked = _walk_orbit(tables, vector, start)
+            entries.append((g_idx, sum(((start >> j) & 1) << q for j, q in enumerate(free))))
+            sizes.append(sub.orbit_sizes[g_idx] * walked << len(basis))
+    return entries, sizes
+
+
+class TestDrawnWalkGenerators:
+    @pytest.mark.parametrize("params", [(2, 3, 6), (3, 4, 6)])
+    def test_drawn_maps_fix_g_keep_t_and_generate_the_stabilizer(
+        self, params, oracle125, oracle235
+    ):
+        from rmcover.classify import _slice_generators
+        from rmcover.group import gf2_reduce
+        from rmcover.quotient import action_matrix, apply_key
+
+        s, t, m = params
+        sub = {(2, 3, 6): oracle125, (3, 4, 6): oracle235}[params]
+        h_space = quotient_space(s, t, m - 1)
+        drawn_total = 0
+        for g_idx in range(sub.n_classes):
+            basis = slice_translations(sub, g_idx, s, t)
+            maps = _slice_generators(sub, g_idx, h_space, basis)
+            rep = sub.rep_function(g_idx)
+            order = agl_order(m - 1) // sub.orbit_sizes[g_idx]
+            chain = _StabilizerChain(m - 1, order)
+            for u in maps:
+                assert q_apply_affine(rep, u) == rep
+                images = action_matrix(h_space, u)
+                assert not any(gf2_reduce(apply_key(images, b), basis) for b in basis)
+                chain.add(u)
+            assert chain.order() == order
+            drawn_total += len(maps)
+        assert drawn_total < sum(map(len, sub.stabilizer_gens))
+
+    @pytest.mark.parametrize("params", [(2, 3, 6), (3, 4, 6)])
+    def test_entries_and_sizes_match_walks_by_file_generators(
+        self, params, oracle125, oracle235
+    ):
+        sub = {(2, 3, 6): oracle125, (3, 4, 6): oracle235}[params]
+        cover = reduce_cover_set(*params, sub)
+        entries, sizes = file_generator_walks(*params, sub)
+        assert list(cover.entries) == entries
+        assert cover.walks.sizes == sizes
+        assert sum(sizes) == 1 << quotient_space(*params).dim
+
+    @pytest.mark.parametrize(
+        "params, digest",
+        [
+            ((1, 2, 5), "67cf20ebd8be72b9698aa6ac07877ec67567f861e2594d395f8ed05a9039eb1d"),
+            ((2, 3, 5), "123afc5a8947bb5d24d98de96a35ad4d4f76ee8d9804d8192a8a96c825d92e08"),
+        ],
+    )
+    def test_oracle_files_keep_their_bytes(self, params, digest, oracle125, oracle235, tmp_path):
+        # the whole file, G, R and S lines, byte for byte: the stabilizer
+        # walk keeps exactly the Schreier generators a matrix-based chain kept
+        import hashlib
+
+        path = tmp_path / "oracle.cls"
+        save_classification({(1, 2, 5): oracle125, (2, 3, 5): oracle235}[params], str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestLabels:
@@ -514,7 +634,7 @@ class TestLabels:
         space = quotient_space(*params)
         cover = reduce_cover_set(*params, sub)
         keys = np.array(list(cover.assembled(sub)))
-        labels = _labeler(space, sub, cover)(keys)
+        labels, _ = _labeler(space, sub, cover)(keys)
         assert (oracle.lookup[keys[labels]] == oracle.lookup[keys][:, None]).all()
 
     @pytest.mark.parametrize("params", [(2, 3, 5), (3, 4, 6)])
@@ -531,7 +651,7 @@ class TestLabels:
         rng = random.Random(7)
         gs = [rng.randrange(1 << sub.space.dim) for _ in range(40)]
         hs = [rng.randrange(1 << h_space.dim) for _ in range(40)]
-        ends, carried = _walk_back(
+        ends, carried, _ = _walk_back(
             lab.schreier, lab.g_back, np.array(gs), carry=(lab.h_back, np.array(hs))
         )
         gens = sub.walk_generators()

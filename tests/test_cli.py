@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -43,6 +44,11 @@ class TestCli:
         assert "classes 5" in out
         text = report.read_text()
         assert "# seed 0" in text and "# config" in text
+        counters = re.fullmatch(
+            r"walk-gens drawn (\d+) file (\d+) walk-back lower (\d+) cover (\d+)",
+            text.splitlines()[-1],
+        )
+        assert counters and int(counters[1]) <= int(counters[2])
 
         from rmcover import load_classification
 

@@ -19,10 +19,14 @@ from rmcover import (
 )
 from rmcover.boolfun import BooleanFunction
 from rmcover.group import (
+    base_images,
+    from_base_images,
     gf2_rank,
+    inverse_table,
     invert_rows,
     mat_mul,
     matvec,
+    point_table,
     subset_tables,
     transpose_rows,
     xor_lookup,
@@ -286,3 +290,28 @@ class TestGenerators:
     def test_order_formula(self):
         assert agl_order(2) == 24
         assert agl_order(3) == 1344
+
+
+class TestBaseImages:
+    def test_round_trip_and_point_table(self):
+        # an affine map is its images of 0, e_1, ..., e_m; its point table
+        # agrees with apply everywhere, and inverting the table inverts it
+        rng = random.Random(21)
+        for m in range(1, 9):
+            for _ in range(6):
+                s = random_affine(m, rng)
+                images = base_images(s)
+                assert images == (s.apply(0),) + tuple(s.apply(1 << i) for i in range(m))
+                assert from_base_images(m, images) == s
+                table = point_table(images)
+                assert table == [s.apply(x) for x in range(1 << m)]
+                assert inverse_table(table) == point_table(base_images(invert(s)))
+
+    def test_product_from_tables(self):
+        # the base images of a o b are a's table read at b's base images
+        rng = random.Random(22)
+        for m in (1, 4, 8):
+            for _ in range(6):
+                a, b = random_affine(m, rng), random_affine(m, rng)
+                table = point_table(base_images(a))
+                assert [table[p] for p in base_images(b)] == list(base_images(compose(a, b)))
