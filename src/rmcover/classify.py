@@ -20,7 +20,6 @@ import contextlib
 import hashlib
 import itertools
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable, Optional, Sequence
@@ -38,9 +37,8 @@ from .group import (
     gf2_echelon,
     gf2_reduce,
     identity,
-    inverse_table,
     invert,
-    point_table,
+    random_affine,
     subset_tables,
     transvection,
     xor_lookup,
@@ -53,6 +51,7 @@ from .quotient import (
     apply_key,
     lower_window,
     multiply_affine_form,
+    q_apply_affine,
     quotient_space,
 )
 
@@ -244,6 +243,19 @@ def _column_images(tables: np.ndarray, keys: np.ndarray, columns) -> np.ndarray:
     )
 
 
+def _inverse_tables(space: QuotientSpace, gens: Sequence[AffineTransformation]) -> np.ndarray:
+    """``_side_by_side`` tables of the inverses of gens on the keys of space,
+    the columns a walk back along their Schreier vector reads."""
+    return _side_by_side([action_matrix(space, invert(g)) for g in gens], space.dim)
+
+
+def _homogeneous(g: AffineTransformation) -> list[int]:
+    """g as the linear map (x, 1) -> (g(x), 1) of F_2^(m+1): its images of
+    the basis keys, bit m being the homogeneous coordinate."""
+    images = base_images(g)
+    return [b ^ images[0] for b in images[1:]] + [images[0] | 1 << g.m]
+
+
 def _walk_back(vector, tables, points, base=0, column=0, carry=None):
     """Walk points back to the starts of their walks, carrying keys along.
 
@@ -289,7 +301,9 @@ def orbit_enumerate(
     Representatives are the smallest key of each orbit, listed in increasing
     order, so the numbering is deterministic.  Returns the complete lookup
     with the Schreier vector of its BFS and, with ``stabilizers``,
-    irredundant generators of the stabilizer of every representative.
+    irredundant generators of the stabilizer of every representative,
+    sampled by walks back along that vector (``_stabilizer_elements``) with
+    the class index as seed.
     """
     space = quotient_space(s, t, m)
     n = 1 << space.dim
@@ -313,10 +327,15 @@ def orbit_enumerate(
 
     stab_lists: Optional[list[Optional[list[AffineTransformation]]]] = None
     if stabilizers:
-        byte_tables = [tab.tolist() for tab in tables]
+        back = _inverse_tables(space, gens)
+        carry = _side_by_side([_homogeneous(g) for g in gens], m + 1)
         stab_lists = [
-            _orbit_stabilizer_gens(m, gens, byte_tables, rep, size)
-            for rep, size in zip(reps, sizes)
+            _irredundant(
+                m,
+                agl_order(m) // size,
+                _stabilizer_elements(space, schreier, back, carry, rep, Random(idx)),
+            )
+            for idx, (rep, size) in enumerate(zip(reps, sizes))
         ]
 
     return Classification(
@@ -331,59 +350,54 @@ def orbit_enumerate(
     )
 
 
-def _orbit_stabilizer_gens(
-    m: int,
-    gens: Sequence[AffineTransformation],
-    byte_tables: Sequence[Sequence[Sequence[int]]],
-    rep: int,
-    orbit_size: int,
-) -> list[AffineTransformation]:
-    """Irredundant generators of the stabilizer of rep.
+_SAMPLES = 4  # random keys a walk back transports at once
 
-    One BFS from rep builds the transversal as it goes: an edge (x, g) that
-    reaches a new point y sets t_y = t_x g, and its Schreier generator is the
-    identity; an edge that reaches a known y gives t_x g t_y^-1, which is
-    kept exactly when it does not sift through the stabilizer chain of those
-    kept before it.  The transversal is held as point tables and the
-    Schreier generators as base images, as the chain holds its elements, so
-    only the kept ones become affine maps.  The walk stops as soon as the
-    chain has the order |AGL| / |orbit| that orbit-stabilizer gives for
-    Stab(rep), usually long before the orbit is covered.  Each generator
-    moves keys by its ``subset_tables``, as nested lists, one key byte a
-    group.
+
+def _irredundant(
+    m: int, order: int, elements: Iterable[Sequence[int]]
+) -> list[AffineTransformation]:
+    """The elements, given by base images, that lie outside the group of
+    those kept before them, taken until they generate ``order`` elements."""
+    chain = _StabilizerChain(m, order)
+    kept = []
+    elements = iter(elements)
+    while chain.order() < order:
+        images = next(elements)
+        if chain.add_images(images):
+            kept.append(from_base_images(m, images))
+    return kept
+
+
+def _stabilizer_elements(space, schreier, back, carry, rep, rng) -> Iterable[list[int]]:
+    """Base images of uniform elements of the stabilizer of rep, without end.
+
+    For a uniform r, the key rep o r walks back to rep by a transporter T,
+    rep o r o T = rep, so r o T is a uniform element of Stab(rep), and so is
+    its inverse T^-1 o r^-1.  The walk carries the base images of r^-1 along
+    in homogeneous coordinates, through the ``_homogeneous`` tables
+    ``carry`` of the walk generators, and each step back applies the
+    generator whose inverse it takes, so they come out as the base images
+    of T^-1 o r^-1.  A walk back that ends at another representative
+    raises: the walk generators do not generate AGL(m,2).
     """
-    stab_order = agl_order(m) // orbit_size
-    chain = _StabilizerChain(m, stab_order)
-    gen_tables = [point_table(base_images(g)) for g in gens]
-    selected: list[AffineTransformation] = []
-    transversal = {rep: point_table(chain.base)}
-    inv_base: dict[int, list[int]] = {}  # y -> base images of t_y^-1
-    queue = deque([rep])
-    while chain.order() != stab_order:
-        if not queue:
+    m = space.m
+    rep_fn = space.function(rep)
+    while True:
+        rs = [random_affine(m, rng) for _ in range(_SAMPLES)]
+        keys = np.array([q_apply_affine(rep_fn, r).key for r in rs], dtype=np.int64)
+        starts = np.array(
+            [b | 1 << m for r in rs for b in base_images(invert(r))], dtype=np.int64
+        )
+        ends, images, _ = _walk_back(
+            schreier, back, np.repeat(keys, m + 1), carry=(carry, starts)
+        )
+        stray = ends[ends != rep]
+        if stray.size:
             raise RuntimeError(
-                f"Schreier generators of {rep:#x} generate {chain.order()} "
-                f"elements, not |AGL| / |orbit| = {stab_order}"
+                f"a key in the orbit of {rep:#x} walks back to {int(stray[0]):#x}: "
+                f"the walk generators do not generate AGL({m},2)"
             )
-        x = queue.popleft()
-        tx = transversal[x]
-        key_bytes = [(x >> shift) & 255 for shift in range(0, 8 * len(byte_tables[0]), 8)]
-        for groups, gen in zip(byte_tables, gen_tables):
-            y = 0
-            for group, byte in zip(groups, key_bytes):
-                y ^= group[byte]
-            if y not in transversal:
-                transversal[y] = [tx[p] for p in gen]
-                queue.append(y)
-                continue
-            ty_inv = inv_base.get(y)
-            if ty_inv is None:
-                inv = inverse_table(transversal[y])
-                ty_inv = inv_base[y] = [inv[b] for b in chain.base]
-            sg = [tx[gen[b]] for b in ty_inv]
-            if chain.add_images(sg):
-                selected.append(from_base_images(m, sg))
-    return selected
+        yield from (images & ((1 << m) - 1)).reshape(-1, m + 1).tolist()
 
 
 # --- cover sets --------------------------------------------------------------
@@ -473,8 +487,7 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
     vectors in the cover's ``walks``.
 
     Stabilizer lists may come from a file, so each list is checked before
-    its walk, which goes by a few elements drawn from its stabilizer chain
-    (``_slice_generators``).
+    its walk goes by it (``_slice_generators``).
     """
     _check_sub(s, t, m, sub)
     if sub.stabilizer_gens is None:
@@ -547,17 +560,13 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
 def _slice_generators(
     sub: Classification, g_idx: int, h_space: QuotientSpace, basis: Sequence[int]
 ) -> list[AffineTransformation]:
-    """The maps the V/T walk of class g_idx goes by, drawn from its checked
-    stabilizer.
+    """The maps the V/T walk of class g_idx goes by: the file's stabilizer
+    generators of the class, once checked.
 
-    Each stabilizer generator of the file must fix the representative and
-    map T, spanned by the echelon ``basis``, into itself, and together they
-    must generate all of Stab(g), the |AGL(m-1,2)| / |orbit(g)| elements: a
-    walk under part of it would split a P-orbit.  Any generating set gives
-    the walk the same orbits, so it goes by uniform elements of the checked
-    chain, drawn with the class index as seed until they generate the group
-    again, each kept when it extends the group of those before it; that is
-    usually two or three maps where the file has more.
+    Each generator must fix the representative and map T, spanned by the
+    echelon ``basis``, into itself, and together they must generate all of
+    Stab(g), the |AGL(m-1,2)| / |orbit(g)| elements, which one stabilizer
+    chain counts: a walk under part of it would split a P-orbit.
     """
     stab = sub.stabilizer_gens[g_idx]
     if stab is None:
@@ -585,14 +594,7 @@ def _slice_generators(
             f"stabilizer generators of class {g_idx} generate {chain.order()} "
             f"of the {order} elements of its stabilizer"
         )
-    rng = Random(g_idx)
-    drawn = _StabilizerChain(m, order)
-    maps = []
-    while drawn.order() != order:
-        images = chain.draw(rng)
-        if drawn.add_images(images):
-            maps.append(from_base_images(m, images))
-    return maps
+    return stab
 
 
 # --- P-orbit labels and the pipeline -------------------------------------------
@@ -660,7 +662,6 @@ class _Labeler:
 
 def _labeler(space: QuotientSpace, sub: Classification, cover: CoverSet) -> _Labeler:
     h_space = quotient_space(space.s, space.t, space.m - 1)
-    inverses = [invert(u) for u in sub.walk_generators()]
     return _Labeler(
         h_dim=h_space.dim,
         directions=_side_by_side(
@@ -668,8 +669,8 @@ def _labeler(space: QuotientSpace, sub: Classification, cover: CoverSet) -> _Lab
         ),
         lookup=sub.lookup,
         schreier=sub.schreier,
-        g_back=_side_by_side([action_matrix(sub.space, u) for u in inverses], sub.space.dim),
-        h_back=_side_by_side([action_matrix(h_space, u) for u in inverses], h_space.dim),
+        g_back=_inverse_tables(sub.space, sub.walk_generators()),
+        h_back=_inverse_tables(h_space, sub.walk_generators()),
         walks=cover.walks,
     )
 
@@ -681,8 +682,7 @@ class PipelineReport:
     reduced_cover_size: int
     n_buckets: int
     n_classes: int
-    walk_gens_drawn: int  # V/T walk generators, all slices
-    walk_gens_file: int  # stabilizer generators of the lower window's file
+    walk_gens: int  # V/T walk generators of all slices, the lower file's stabilizer lists
     depth_lower: int  # longest walk back in the label pass, lower window
     depth_cover: int  # and on V/T
 
@@ -699,9 +699,9 @@ def classify_pipeline(
     entries of a class the same label set.  A class is represented by its
     smallest key; its orbit size is the sum of its entries' P-orbit sizes.
     The J-hat signatures bucket the entries for the report, and no class may
-    span two buckets.  The report counts the V/T walks' generators against
-    the file's and the longest walks back of the label pass, which fewer
-    generators make deeper.
+    span two buckets.  The report counts the V/T walks' generators and the
+    longest walks back of the label pass, which fewer generators make
+    deeper.
     """
     _check_sub(s, t, m, sub)
 
@@ -754,8 +754,7 @@ def classify_pipeline(
         reduced_cover_size=cover.size,
         n_buckets=len(set(signatures)),
         n_classes=cls.n_classes,
-        walk_gens_drawn=int(cover.walks.gen_base[-1]),
-        walk_gens_file=sum(map(len, sub.stabilizer_gens)),
+        walk_gens=int(cover.walks.gen_base[-1]),
         depth_lower=depth_lower,
         depth_cover=depth_cover,
     )

@@ -143,7 +143,7 @@ def _cmd_classify(args) -> int:
         "equiv-calls 0"
     )
     lines.append(
-        f"walk-gens drawn {report.walk_gens_drawn} file {report.walk_gens_file} "
+        f"walk-gens {report.walk_gens} "
         f"walk-back lower {report.depth_lower} cover {report.depth_cover}"
     )
     _emit(lines, args.report)

@@ -367,17 +367,3 @@ class _StabilizerChain:
                     if self.order() == self.target:
                         return True
         return True
-
-    def draw(self, rng: Random) -> list[int]:
-        """Base images of a uniform element of a complete chain's group.
-
-        Each element is u_0 o u_1 o ... o u_m for one coset representative
-        u_i per level, so a uniform choice per level is a uniform element;
-        the product of their inverses, also uniform, reads off the stored
-        inverse tables.
-        """
-        images = self.base
-        for orbit in self.orbits:
-            inv = orbit[rng.choice(list(orbit))]
-            images = [inv[b] for b in images]
-        return images

@@ -22,7 +22,7 @@ from rmcover import (
     reduce_cover_set,
     save_classification,
 )
-from rmcover.group import _StabilizerChain, from_base_images
+from rmcover.group import _StabilizerChain
 from rmcover.invariant import class_maps
 from search_pipeline import search_pipeline
 
@@ -80,6 +80,11 @@ def oracle235():
     return orbit_enumerate(2, 3, 5)
 
 
+@pytest.fixture(scope="module")
+def oracle126():
+    return orbit_enumerate(1, 2, 6)
+
+
 class TestOrbitEnumerate:
     def test_quadratic_forms_three_vars(self, oracle223):
         assert oracle223.n_classes == 2
@@ -132,11 +137,23 @@ class TestStabilizers:
     def test_zero_rep_generates_full_group(self, sub112):
         assert closure_size(sub112.stabilizer_gens[0], 2) == 24
 
-    def test_generators_fix_representative(self, oracle223):
-        for i in range(oracle223.n_classes):
-            rep = oracle223.rep_function(i)
-            for g in oracle223.stabilizer_gens[i]:
-                assert q_apply_affine(rep, g) == rep
+    def test_generators_fix_representative(self, oracle223, sub124, oracle235, oracle126):
+        for cls in (oracle223, sub124, oracle235, oracle126):
+            for i in range(cls.n_classes):
+                rep = cls.rep_function(i)
+                for g in cls.stabilizer_gens[i]:
+                    assert q_apply_affine(rep, g) == rep
+
+    def test_generators_short_of_agl_are_refused(self):
+        # without the translation the walk generators span GL(3,2), whose
+        # orbits split B(1,2,3) into 5 classes against 4: a random key of an
+        # orbit walks back to another representative
+        from rmcover import agl_generators
+
+        gens = agl_generators(3)[:-1]
+        assert orbit_enumerate(1, 2, 3, gens, stabilizers=False).n_classes == 5
+        with pytest.raises(RuntimeError, match="do not generate AGL"):
+            orbit_enumerate(1, 2, 3, gens)
 
     def test_orbit_stabilizer_theorem(self, oracle223, sub112):
         for cls in (oracle223, sub112):
@@ -145,24 +162,24 @@ class TestStabilizers:
                 gens = cls.stabilizer_gens[i]
                 assert closure_size(gens, m) * cls.orbit_sizes[i] == agl_order(m)
 
-    def test_pruned_generators_are_irredundant(self, sub123, sub124):
+    def test_pruned_generators_are_irredundant(self, sub123, sub124, oracle235, oracle126):
         # each selected generator lies outside the group of the ones before
-        # it, and together they generate all of Stab; the closure of class 0
+        # it, and together they generate all of Stab, by the chain on every
+        # window and by enumerated closures at m <= 4; the closure of class 0
         # of sub124 (all 322560 elements of AGL(4,2)) takes about 10 s to
-        # enumerate, so that class is checked by the chain's order instead
-        for cls in (sub123, sub124):
+        # enumerate, so its order is checked by the chain alone
+        for cls in (sub123, sub124, oracle235, oracle126):
             m = cls.space.m
             for i in range(cls.n_classes):
                 stab_order = agl_order(m) // cls.orbit_sizes[i]
                 gens = cls.stabilizer_gens[i]
+                chain = _StabilizerChain(m, stab_order)
                 for k, g in enumerate(gens):
-                    assert (g.rows, g.trans) not in closure_keys(gens[:k], m)
-                if stab_order > 1 << 16:
-                    chain = _StabilizerChain(m, stab_order)
-                    for g in gens:
-                        chain.add(g)
-                    assert chain.order() == stab_order
-                else:
+                    assert chain.add(g)
+                    if m <= 4:
+                        assert (g.rows, g.trans) not in closure_keys(gens[:k], m)
+                assert chain.order() == stab_order
+                if m <= 4 and stab_order <= 1 << 16:
                     assert closure_size(gens, m) == stab_order
 
     def test_orbits_beyond_2_16_get_whole_stabilizers(self, oracle235):
@@ -230,25 +247,6 @@ class TestStabilizerChain:
         for m in (2, 3, 4):
             assert (m, 1) in orders
             assert len({n for mm, n in orders if mm == m and 1 < n < agl_order(m)}) >= 2
-
-    def test_draws_are_uniform_members(self):
-        # a complete chain's draws stay in the group and reach every element
-        # about equally often
-        rng = random.Random(23)
-        for m in (2, 3):
-            gens = [random_affine(m, rng) for _ in range(2)]
-            closure = closure_keys(gens, m)
-            chain = _StabilizerChain(m, len(closure))
-            for g in gens:
-                chain.add(g)
-            assert chain.order() == len(closure)
-            counts = {}
-            for _ in range(40 * len(closure)):
-                g = from_base_images(m, chain.draw(rng))
-                counts[g.rows, g.trans] = counts.get((g.rows, g.trans), 0) + 1
-            assert set(counts) == closure
-            # 40 draws an element on average, a standard deviation near 6
-            assert 10 < min(counts.values()) and max(counts.values()) < 80
 
 
 class TestCoverSets:
@@ -534,9 +532,7 @@ def file_generator_walks(s, t, m, sub):
 
 class TestDrawnWalkGenerators:
     @pytest.mark.parametrize("params", [(2, 3, 6), (3, 4, 6)])
-    def test_drawn_maps_fix_g_keep_t_and_generate_the_stabilizer(
-        self, params, oracle125, oracle235
-    ):
+    def test_walk_maps_are_the_checked_file_lists(self, params, oracle125, oracle235):
         from rmcover.classify import _slice_generators
         from rmcover.group import gf2_reduce
         from rmcover.quotient import action_matrix, apply_key
@@ -544,10 +540,10 @@ class TestDrawnWalkGenerators:
         s, t, m = params
         sub = {(2, 3, 6): oracle125, (3, 4, 6): oracle235}[params]
         h_space = quotient_space(s, t, m - 1)
-        drawn_total = 0
         for g_idx in range(sub.n_classes):
             basis = slice_translations(sub, g_idx, s, t)
             maps = _slice_generators(sub, g_idx, h_space, basis)
+            assert maps == sub.stabilizer_gens[g_idx]
             rep = sub.rep_function(g_idx)
             order = agl_order(m - 1) // sub.orbit_sizes[g_idx]
             chain = _StabilizerChain(m - 1, order)
@@ -557,8 +553,6 @@ class TestDrawnWalkGenerators:
                 assert not any(gf2_reduce(apply_key(images, b), basis) for b in basis)
                 chain.add(u)
             assert chain.order() == order
-            drawn_total += len(maps)
-        assert drawn_total < sum(map(len, sub.stabilizer_gens))
 
     @pytest.mark.parametrize("params", [(2, 3, 6), (3, 4, 6)])
     def test_entries_and_sizes_match_walks_by_file_generators(
@@ -571,21 +565,48 @@ class TestDrawnWalkGenerators:
         assert cover.walks.sizes == sizes
         assert sum(sizes) == 1 << quotient_space(*params).dim
 
-    @pytest.mark.parametrize(
-        "params, digest",
-        [
-            ((1, 2, 5), "67cf20ebd8be72b9698aa6ac07877ec67567f861e2594d395f8ed05a9039eb1d"),
-            ((2, 3, 5), "123afc5a8947bb5d24d98de96a35ad4d4f76ee8d9804d8192a8a96c825d92e08"),
-        ],
-    )
-    def test_oracle_files_keep_their_bytes(self, params, digest, oracle125, oracle235, tmp_path):
-        # the whole file, G, R and S lines, byte for byte: the stabilizer
-        # walk keeps exactly the Schreier generators a matrix-based chain kept
+    # sha256 of each oracle file as the lazy Schreier walk wrote it, with its
+    # S lines removed, and of the whole file with the sampled S lines
+    ORACLE_FILES = {
+        (1, 2, 5): (
+            "a61f032002ed78e44eb3d6ba71b76564a268bf157866a9fc717033281dae8695",
+            "b6e7eb4c93e84537a4ab0c1684404a43ebb7b6342b178f4d275c545d2636c310",
+        ),
+        (2, 3, 5): (
+            "5c511ce60826554f6824430736e1bf780dc2388dc3665de7f6c597dd9203242c",
+            "f647eec06e621a6b6fb7848c65236f2f95d12b839c85f6ada6752dfc4447c353",
+        ),
+        (1, 2, 6): (
+            "d2c86ab85727493ad90f93e5cd1639361d647dd9477da549cef38a23becef9f5",
+            "18609f92de93c08f6ef5b2b3f2b76de96870687d7b7bcf37d65609cd5c310090",
+        ),
+        (5, 5, 7): (
+            "089ad147c14ce3cd2359750ce817636d51a6e9bb45bfe8751416447ee704858e",
+            "a99bc8edff65f0c968f5e1742efd4331c68521c7340710356714a7554cb51399",
+        ),
+    }
+
+    @pytest.mark.parametrize("params", list(ORACLE_FILES))
+    def test_oracle_files_keep_their_bytes(
+        self, params, oracle125, oracle235, oracle126, tmp_path
+    ):
+        # header, G and R lines byte for byte as before the sampled
+        # stabilizers, and the whole file as the sampler writes it: its
+        # seeds are fixed, so the S lines are too
         import hashlib
 
+        known = {(1, 2, 5): oracle125, (2, 3, 5): oracle235, (1, 2, 6): oracle126}
+        cls = known.get(params) or orbit_enumerate(*params)
         path = tmp_path / "oracle.cls"
-        save_classification({(1, 2, 5): oracle125, (2, 3, 5): oracle235}[params], str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        save_classification(cls, str(path))
+        data = path.read_bytes()
+        stripped = b"".join(
+            line for line in data.splitlines(keepends=True) if not line.startswith(b"S ")
+        )
+        assert (
+            hashlib.sha256(stripped).hexdigest(),
+            hashlib.sha256(data).hexdigest(),
+        ) == self.ORACLE_FILES[params]
 
 
 class TestLabels:
@@ -641,8 +662,11 @@ class TestLabels:
     def test_transport_reaches_the_representative(self, params, sub124, oracle235):
         # walking g back along the lower window's Schreier vector ends at
         # its class representative, and the carried h is h o T for the
-        # transporter T composed from the inverse generators on that path
-        from rmcover.classify import _labeler, _walk_back
+        # transporter T composed from the inverse generators on that path;
+        # the base images of a map u, carried through the generators
+        # themselves in homogeneous coordinates, come out as those of T^-1 o u
+        from rmcover.classify import _homogeneous, _labeler, _side_by_side, _walk_back
+        from rmcover.group import base_images
 
         sub = {(2, 3, 5): sub124, (3, 4, 6): oracle235}[params]
         space = quotient_space(*params)
@@ -655,15 +679,25 @@ class TestLabels:
             lab.schreier, lab.g_back, np.array(gs), carry=(lab.h_back, np.array(hs))
         )
         gens = sub.walk_generators()
+        k = sub.space.m
+        us = [random_affine(k, rng) for _ in gs]
+        bases = np.array([b | 1 << k for u in us for b in base_images(u)])
+        homogeneous = _side_by_side([_homogeneous(u) for u in gens], k + 1)
+        _, images, _ = _walk_back(
+            lab.schreier, lab.g_back, np.repeat(gs, k + 1), carry=(homogeneous, bases)
+        )
+        images = (images & ((1 << k) - 1)).reshape(len(gs), k + 1).tolist()
         assert ends.tolist() == [sub.reps[int(sub.lookup[g])] for g in gs]
-        for g, h, end, h_end in zip(gs, hs, ends.tolist(), carried.tolist()):
-            transporter = identity(sub.space.m)
+        walked = zip(gs, hs, us, ends.tolist(), carried.tolist(), images)
+        for g, h, u, end, h_end, u_end in walked:
+            transporter = identity(k)
             while lab.schreier[g] >= 0:
                 step = invert(gens[lab.schreier[g]])
                 g = q_apply_affine(sub.space.function(g), step).key
                 transporter = compose(transporter, step)
             assert g == end
             assert q_apply_affine(h_space.function(h), transporter).key == h_end
+            assert u_end == list(base_images(compose(invert(transporter), u)))
 
     def test_incomplete_stabilizer_list_refused(self, sub123, tmp_path):
         # class 1 (g = a, orbit 7) loses the last generator of its

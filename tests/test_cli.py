@@ -45,10 +45,11 @@ class TestCli:
         text = report.read_text()
         assert "# seed 0" in text and "# config" in text
         counters = re.fullmatch(
-            r"walk-gens drawn (\d+) file (\d+) walk-back lower (\d+) cover (\d+)",
-            text.splitlines()[-1],
+            r"walk-gens (\d+) walk-back lower (\d+) cover (\d+)", text.splitlines()[-1]
         )
-        assert counters and int(counters[1]) <= int(counters[2])
+        # the V/T walks go by the sub file's stabilizer lists
+        s_lines = [line for line in sub.read_text().splitlines() if line.startswith("S ")]
+        assert counters and int(counters[1]) == sum(not line.endswith(" -") for line in s_lines)
 
         from rmcover import load_classification
 
