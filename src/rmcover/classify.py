@@ -10,7 +10,7 @@ AGL(m,2) is A_v p with p in P, for one linear map A_v per direction v, the
 image of e_m; so the class of an entry is the union of the P-orbits of
 entry o A_v over the 2^m - 1 directions.  The pipeline reads those P-orbits
 off as labels, walking keys back along the Schreier vectors of the lower
-window's lookup and of the h walks.  This is Schmalz's ladder game, the
+window's BFS and of the h walks.  This is Schmalz's ladder game, the
 Leiterspiel (B. Schmalz, Bayreuther Math. Schr. 31, 1990).
 """
 
@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 from typing import Iterable, Optional, Sequence
 
@@ -76,15 +77,15 @@ class Classification:
 
     Class indices are pinned by the representative order; the digest commits
     to that numbering and travels with every invariant signature derived
-    from it.  ``schreier`` is the Schreier vector of the lookup's BFS, by
-    index into ``walk_generators()``.
+    from it.  ``schreier`` is the Schreier vector of the window's BFS, by
+    index into ``walk_generators()``: a key walks back along it to its
+    class representative (``walk_back``).
     """
 
     space: QuotientSpace
     reps: list[int]
     orbit_sizes: Optional[list[int]] = None
-    stabilizer_gens: Optional[list[Optional[list[AffineTransformation]]]] = None
-    lookup: Optional[np.ndarray] = None
+    stabilizer_gens: Optional[list[list[AffineTransformation]]] = None
     provenance: str = ""
     generators: Optional[list[AffineTransformation]] = None
     digest: str = field(default="")
@@ -105,35 +106,53 @@ class Classification:
         return [self.space.function(k) for k in self.reps]
 
     def walk_generators(self) -> list[AffineTransformation]:
-        """The maps the lookup's BFS walks by: the file's, or AGL's default set."""
+        """The maps the BFS walks by: the file's, or AGL's default set."""
         return self.generators or agl_generators(self.space.m)
 
-    def ensure_lookup(self) -> None:
-        """Rebuild the complete orbit map and its Schreier vector by BFS if
-        either is missing."""
-        if self.lookup is not None and self.schreier is not None:
+    def ensure_schreier(self) -> None:
+        """Rebuild the Schreier vector by BFS if it is missing."""
+        if self.schreier is not None:
             return
         rebuilt = orbit_enumerate(*self.space.params, self.walk_generators(), stabilizers=False)
         if rebuilt.reps != self.reps:
             raise ValueError(
-                "stored representatives disagree with the BFS rebuild; "
-                "refusing to attach a lookup with a different numbering"
+                "stored representatives disagree with the BFS rebuild; refusing "
+                "to attach a Schreier vector with a different numbering"
             )
         if self.orbit_sizes not in (None, rebuilt.orbit_sizes):
             raise ValueError("stored orbit sizes disagree with the BFS rebuild")
-        self.lookup = rebuilt.lookup
         self.schreier = rebuilt.schreier
         self.orbit_sizes = rebuilt.orbit_sizes
 
-    def classes_of(self, keys) -> np.ndarray:
-        """Class numbers (int64) of an array of window keys, in its shape.
+    @cached_property
+    def _back(self) -> np.ndarray:
+        """``_inverse_tables`` of the walk generators, the columns a walk
+        back reads."""
+        return _inverse_tables(self.space, self.walk_generators())
 
-        The complete lookup numbers the keys.  A classification without one
-        attaches it by BFS on first use, which raises SpaceTooLargeError
-        past the guard.
+    def walk_back(self, keys, carry=None) -> tuple[np.ndarray, Optional[np.ndarray], int]:
+        """Walk window keys back along ``schreier`` to their representatives.
+
+        ``carry`` is (tables, keys) as for ``_walk_back``, one carried key a
+        window key.  Returns the class numbers (int64) in the keys' shape,
+        the carried keys (or None) and the longest walk back.  A
+        classification without a Schreier vector attaches it by BFS on first
+        use, which raises SpaceTooLargeError past the guard; a walk that ends
+        off the representatives raises RuntimeError.
         """
-        self.ensure_lookup()
-        return self.lookup[np.asarray(keys)].astype(np.int64)
+        self.ensure_schreier()
+        keys = np.asarray(keys, dtype=np.int64)
+        ends, carried, steps = _walk_back(self.schreier, self._back, keys.ravel(), carry=carry)
+        reps = np.array(self.reps, dtype=np.int64)
+        classes = np.searchsorted(reps, ends)
+        stray = ends[reps[np.minimum(classes, len(reps) - 1)] != ends]
+        if stray.size:
+            raise RuntimeError(f"key walks back to {int(stray[0]):#x}, not a representative")
+        return classes.reshape(keys.shape), carried, steps
+
+    def classes_of(self, keys) -> np.ndarray:
+        """Class numbers (int64) of an array of window keys, in its shape."""
+        return self.walk_back(keys)[0]
 
 
 # --- walks and their Schreier vectors ----------------------------------------
@@ -178,13 +197,7 @@ def _key_bytes(keys: np.ndarray, groups: int) -> list[np.ndarray]:
     return [raw[:, c] for c in range(groups)]
 
 
-def _walk_orbit(
-    tables: Sequence[np.ndarray],
-    vector: np.ndarray,
-    start: int,
-    lookup: Optional[np.ndarray] = None,
-    value: int = 0,
-) -> int:
+def _walk_orbit(tables: Sequence[np.ndarray], vector: np.ndarray, start: int) -> int:
     """Record the orbit of start in its Schreier vector by a frontier BFS;
     return its size.
 
@@ -192,19 +205,17 @@ def _walk_orbit(
     indexing group c; all maps read the frontier's key bytes in place
     (``_key_bytes``).  The orbit must be unseen when the walk begins.  The
     start gets _START and every other point the index of the map that first
-    reached it; ``lookup``, when given, gets value over the orbit.  Each map
-    is a bijection and its fresh images are recorded before the next map
-    runs, so the frontier never holds a key twice.  A map reads the frontier
-    in blocks of _WALK_BLOCK keys, which bounds its temporaries; its images
-    of two blocks are disjoint, so the blocks change nothing recorded.
+    reached it.  Each map is a bijection and its fresh images are recorded
+    before the next map runs, so the frontier never holds a key twice.  A
+    map reads the frontier in blocks of _WALK_BLOCK keys, which bounds its
+    temporaries; its images of two blocks are disjoint, so the blocks change
+    nothing recorded.
     """
     vector[start] = _START
     frontier = np.array([start], dtype=np.int64)
     size = 1
     groups = len(tables[0]) if tables else 0
     while frontier.size:
-        if lookup is not None:
-            lookup[frontier] = value
         blocks = [
             _key_bytes(frontier[i : i + _WALK_BLOCK], groups)
             for i in range(0, frontier.size, _WALK_BLOCK)
@@ -222,6 +233,16 @@ def _walk_orbit(
         del frontier, blocks
         frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     return size
+
+
+def _orbits(tables: Sequence[np.ndarray], vector: np.ndarray) -> tuple[list[int], list[int]]:
+    """Walk every orbit of the maps on the points of vector, smallest unseen
+    point first; return the starts and the orbit sizes."""
+    starts, sizes = [], []
+    for start in _unseen(vector):
+        sizes.append(_walk_orbit(tables, vector, start))
+        starts.append(start)
+    return starts, sizes
 
 
 def _side_by_side(columns: Sequence[Sequence[int]], dim: int) -> np.ndarray:
@@ -299,8 +320,8 @@ def orbit_enumerate(
     """Exact classification of a window by BFS over all of its elements.
 
     Representatives are the smallest key of each orbit, listed in increasing
-    order, so the numbering is deterministic.  Returns the complete lookup
-    with the Schreier vector of its BFS and, with ``stabilizers``,
+    order, so the numbering is deterministic.  Returns them with the
+    Schreier vector of the BFS and, with ``stabilizers``,
     irredundant generators of the stabilizer of every representative,
     sampled by walks back along that vector (``_stabilizer_elements``) with
     the class index as seed.
@@ -317,37 +338,25 @@ def orbit_enumerate(
         subset_tables(np.array(images, dtype=np.int64), 8) for images in images_per_gen
     ]
 
-    lookup = np.empty(n, dtype=np.int32)
     schreier = _schreier_vector(n, len(gens))
-    reps: list[int] = []
-    sizes: list[int] = []
-    for start in _unseen(schreier):
-        sizes.append(_walk_orbit(tables, schreier, start, lookup, len(reps)))
-        reps.append(start)
-
-    stab_lists: Optional[list[Optional[list[AffineTransformation]]]] = None
-    if stabilizers:
-        back = _inverse_tables(space, gens)
-        carry = _side_by_side([_homogeneous(g) for g in gens], m + 1)
-        stab_lists = [
-            _irredundant(
-                m,
-                agl_order(m) // size,
-                _stabilizer_elements(space, schreier, back, carry, rep, Random(idx)),
-            )
-            for idx, (rep, size) in enumerate(zip(reps, sizes))
-        ]
-
-    return Classification(
+    reps, sizes = _orbits(tables, schreier)
+    cls = Classification(
         space=space,
         reps=reps,
         orbit_sizes=sizes,
-        stabilizer_gens=stab_lists,
-        lookup=lookup,
         provenance=f"oracle-bfs gens={len(gens)}",
         generators=gens,
         schreier=schreier,
     )
+    if stabilizers:
+        carry = _side_by_side([_homogeneous(g) for g in gens], m + 1)
+        cls.stabilizer_gens = [
+            _irredundant(
+                m, agl_order(m) // size, _stabilizer_elements(cls, carry, idx, Random(idx))
+            )
+            for idx, size in enumerate(sizes)
+        ]
+    return cls
 
 
 _SAMPLES = 4  # random keys a walk back transports at once
@@ -368,8 +377,9 @@ def _irredundant(
     return kept
 
 
-def _stabilizer_elements(space, schreier, back, carry, rep, rng) -> Iterable[list[int]]:
-    """Base images of uniform elements of the stabilizer of rep, without end.
+def _stabilizer_elements(cls, carry, idx, rng) -> Iterable[list[int]]:
+    """Base images of uniform elements of the stabilizer of representative
+    idx of cls, without end.
 
     For a uniform r, the key rep o r walks back to rep by a transporter T,
     rep o r o T = rep, so r o T is a uniform element of Stab(rep), and so is
@@ -380,22 +390,21 @@ def _stabilizer_elements(space, schreier, back, carry, rep, rng) -> Iterable[lis
     of T^-1 o r^-1.  A walk back that ends at another representative
     raises: the walk generators do not generate AGL(m,2).
     """
-    m = space.m
-    rep_fn = space.function(rep)
+    m = cls.space.m
+    rep_fn = cls.rep_function(idx)
     while True:
         rs = [random_affine(m, rng) for _ in range(_SAMPLES)]
         keys = np.array([q_apply_affine(rep_fn, r).key for r in rs], dtype=np.int64)
         starts = np.array(
             [b | 1 << m for r in rs for b in base_images(invert(r))], dtype=np.int64
         )
-        ends, images, _ = _walk_back(
-            schreier, back, np.repeat(keys, m + 1), carry=(carry, starts)
-        )
-        stray = ends[ends != rep]
+        classes, images, _ = cls.walk_back(np.repeat(keys, m + 1), carry=(carry, starts))
+        stray = classes[classes != idx]
         if stray.size:
             raise RuntimeError(
-                f"a key in the orbit of {rep:#x} walks back to {int(stray[0]):#x}: "
-                f"the walk generators do not generate AGL({m},2)"
+                f"a key in the orbit of {rep_fn.key:#x} walks back to "
+                f"{cls.reps[int(stray[0])]:#x}: the walk generators do not "
+                f"generate AGL({m},2)"
             )
         yield from (images & ((1 << m) - 1)).reshape(-1, m + 1).tolist()
 
@@ -498,7 +507,7 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
             f"h window has 2^{h_space.dim} elements, guard allows {DEFAULT_INNER_GUARD}"
         )
     if sub.orbit_sizes is None:
-        sub.ensure_lookup()
+        sub.ensure_schreier()
 
     frees, dims_t, forwards, backs, reduces = [], [], [], [], []
     for g_idx in range(sub.n_classes):
@@ -519,10 +528,8 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
             return [compress(gf2_reduce(images[q], basis)) for q in free]
 
         forward = []
-        for u in _slice_generators(sub, g_idx, h_space, basis):
-            forward.append(
-                subset_tables(np.array(on_cosets(action_matrix(h_space, u)), dtype=np.int64), 8)
-            )
+        for u, images in _slice_generators(sub, g_idx, h_space, basis):
+            forward.append(subset_tables(np.array(on_cosets(images), dtype=np.int64), 8))
             backs.append(on_cosets(action_matrix(h_space, invert(u))))
         frees.append(free)
         dims_t.append(len(basis))
@@ -537,8 +544,7 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
     sizes: list[int] = []
     for g_idx, (free, forward) in enumerate(zip(frees, forwards)):
         points = vector[offsets[g_idx] : offsets[g_idx + 1]]
-        for start in _unseen(points):
-            walked = _walk_orbit(forward, points, start)
+        for start, walked in zip(*_orbits(forward, points)):
             entries.append(
                 (g_idx, sum(((start >> j) & 1) << q for j, q in enumerate(free)))
             )
@@ -559,9 +565,10 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
 
 def _slice_generators(
     sub: Classification, g_idx: int, h_space: QuotientSpace, basis: Sequence[int]
-) -> list[AffineTransformation]:
+) -> list[tuple[AffineTransformation, list[int]]]:
     """The maps the V/T walk of class g_idx goes by: the file's stabilizer
-    generators of the class, once checked.
+    generators of the class, once checked, each with its action matrix on
+    the h window.
 
     Each generator must fix the representative and map T, spanned by the
     echelon ``basis``, into itself, and together they must generate all of
@@ -569,9 +576,8 @@ def _slice_generators(
     chain counts: a walk under part of it would split a P-orbit.
     """
     stab = sub.stabilizer_gens[g_idx]
-    if stab is None:
-        raise ValueError(f"missing stabilizer generators for class {g_idx}")
     g_key = sub.reps[g_idx]
+    checked = []
     for u in stab:
         images = action_matrix(h_space, u)
         if any(gf2_reduce(apply_key(images, b), basis) for b in basis):
@@ -584,6 +590,7 @@ def _slice_generators(
                 f"stabilizer generator of class {g_idx} does not fix its "
                 "representative"
             )
+        checked.append((u, images))
     m = sub.space.m
     order = agl_order(m) // sub.orbit_sizes[g_idx]
     chain = _StabilizerChain(m, order)
@@ -594,7 +601,7 @@ def _slice_generators(
             f"stabilizer generators of class {g_idx} generate {chain.order()} "
             f"of the {order} elements of its stabilizer"
         )
-    return stab
+    return checked
 
 
 # --- P-orbit labels and the pipeline -------------------------------------------
@@ -631,18 +638,16 @@ class _Labeler:
     """P-orbit labels of the keys f o A_v of window keys f, all v at once.
 
     f = x_m * g + h moves within its P-orbit to x_m * rep_i + h' as g walks
-    back along the lower window's Schreier vector and h goes through the
-    same inverse generators on the h window.  h' then goes to its point of
-    V/T_i, and the walk back from there ends at the start of the entry
-    whose P-orbit holds f.
+    back to its class i in the lower window (``Classification.walk_back``)
+    and h goes through the same inverse generators on the h window.  h'
+    then goes to its point of V/T_i, and the walk back from there ends at
+    the start of the entry whose P-orbit holds f.
     """
 
     h_dim: int
     directions: np.ndarray  # _side_by_side tables of the maps A_v
-    lookup: np.ndarray
-    schreier: np.ndarray
-    g_back: np.ndarray  # inverse lower-window generators on the g window
-    h_back: np.ndarray  # the same maps on the h window
+    sub: Classification  # the lower window
+    h_back: np.ndarray  # its inverse walk generators on the h window
     walks: CoverWalks
 
     def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
@@ -650,8 +655,7 @@ class _Labeler:
         and the longest walks back, on the lower window and on V/T."""
         moved = xor_lookup(self.directions, _key_bytes(keys, len(self.directions))).ravel()
         g, h = moved >> self.h_dim, moved & ((1 << self.h_dim) - 1)
-        cls = self.lookup[g].astype(np.int64)
-        _, h, lower = _walk_back(self.schreier, self.g_back, g, carry=(self.h_back, h))
+        cls, h, lower = self.sub.walk_back(g, carry=(self.h_back, h))
         w = self.walks
         point, _, cover = _walk_back(
             w.vector, w.back, _column_images(w.reduce, h, cls), w.offsets[cls], w.gen_base[cls]
@@ -667,9 +671,7 @@ def _labeler(space: QuotientSpace, sub: Classification, cover: CoverSet) -> _Lab
         directions=_side_by_side(
             [action_matrix(space, a) for a in _direction_maps(space.m)], space.dim
         ),
-        lookup=sub.lookup,
-        schreier=sub.schreier,
-        g_back=_inverse_tables(sub.space, sub.walk_generators()),
+        sub=sub,
         h_back=_inverse_tables(h_space, sub.walk_generators()),
         walks=cover.walks,
     )
@@ -707,7 +709,7 @@ def classify_pipeline(
 
     space = quotient_space(s, t, m)
     initial_size = initial_cover_set(s, t, m, sub).size
-    sub.ensure_lookup()
+    sub.ensure_schreier()
     cover = reduce_cover_set(s, t, m, sub)
     keys = list(cover.assembled(sub))
     signatures = j_hat_signatures(class_maps(space, keys, sub), sub.digest)
@@ -809,8 +811,6 @@ def save_classification(cls: Classification, path: str) -> None:
         lines.append(f"R {i} {size} {anf}")
     if cls.stabilizer_gens is not None:
         for i, gens in enumerate(cls.stabilizer_gens):
-            if gens is None:
-                continue
             if not gens:
                 lines.append(f"S {i} -")  # trivial stabilizer, not "unknown"
             for g in gens:
@@ -890,15 +890,14 @@ def load_classification(path: str) -> Classification:
         raise ValueError(
             f"{path}: orbit sizes sum to {sum(orbit_sizes)}, not 2^{space.dim}"
         )
-    stab_lists = None
-    if stab:
-        stab_lists = [stab.get(i) for i in range(len(reps))]
+    missing = [i for i in range(len(reps)) if i not in stab]
+    if stab and missing:
+        raise ValueError(f"{path}: S lines for some classes but not for class {missing[0]}")
     return Classification(
         space=space,
         reps=reps,
         orbit_sizes=orbit_sizes,
-        stabilizer_gens=stab_lists,
-        lookup=None,
+        stabilizer_gens=[stab[i] for i in range(len(reps))] if stab else None,
         provenance=provenance or "",
         generators=generators or None,
         digest=digest,

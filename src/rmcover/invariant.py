@@ -101,9 +101,9 @@ def class_maps(space: QuotientSpace, keys: Sequence[int], sub) -> np.ndarray:
     """Class maps of a batch of window keys: row i holds that of keys[i].
 
     ``sub`` must classify the (s-1, t-1, m-1) window; it numbers the derived
-    keys itself (``Classification.classes_of``), from its complete lookup,
-    which it attaches by BFS when it has none.  The zero direction maps to
-    the class of the zero function.
+    keys itself (``Classification.classes_of``), walking them back along its
+    Schreier vector, which it attaches by BFS when it has none.  The zero
+    direction maps to the class of the zero function.
     """
     expect = lower_window(*space.params)
     if tuple(sub.space.params) != expect:

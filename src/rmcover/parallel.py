@@ -2,9 +2,9 @@
 
 Tasks are small picklable payloads: chunks of cover keys, or index ranges of
 a probe scan.  The function applied to them carries the shared read-only
-state (the lower-window lookup and the walks behind a cover; the scan's
-lifts and probe parameters) and reaches each worker once, through the pool
-initializer.
+state (the lower window's Schreier vector and the walks behind a cover;
+the scan's lifts and probe parameters) and reaches each worker once,
+through the pool initializer.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def resolve_buckets_parallel(label, chunks, jobs):
     """Label chunks of cover keys across a pool, in order.
 
     ``label`` maps an array of cover keys to their rows of P-orbit labels.
-    It carries the lower window's lookup and Schreier vector and the cover's
+    It carries the lower window's Schreier vector and the cover's
     walks, built by the parent, so the workers never rebuild them.
     """
     return _pool_map(label, chunks, jobs)

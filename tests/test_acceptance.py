@@ -18,6 +18,7 @@ from rmcover import (
     RadiusTable,
     bounds_propagate,
     class_map,
+    class_of,
     classify_pipeline,
     covering_radius_exact,
     dirac,
@@ -87,10 +88,8 @@ class TestAcceptance:
         oracle = orbit_enumerate(2, 3, 4)
         init = initial_cover_set(2, 3, 4, sub)
         red = reduce_cover_set(2, 3, 4, sub)
-        hit_init = {
-            int(oracle.lookup[k]) for k in initial_cover_set(2, 3, 4, sub).assembled(sub)
-        }
-        hit_red = {int(oracle.lookup[k]) for k in red.assembled(sub)}
+        hit_init = set(oracle.classes_of(list(init.assembled(sub))).tolist())
+        hit_red = set(oracle.classes_of(list(red.assembled(sub))).tolist())
         all_classes = set(range(oracle.n_classes))
         ok = hit_init == all_classes and hit_red == all_classes and red.size <= init.size
         report(
@@ -154,7 +153,7 @@ class TestAcceptance:
                 else:
                     g = space.function(rng.randrange(1 << space.dim))
                 out = equivalent(f, g, sub, iter_budget=4096, rng=rng)
-                same = int(oracle.lookup[f.key]) == int(oracle.lookup[g.key])
+                same = class_of(f, oracle) == class_of(g, oracle)
                 trials += 1
                 if out.verdict == EQUIV:
                     if not same or q_apply_affine(f, out.witness) != g:

@@ -56,6 +56,30 @@ def orbit_minima_reference(s, t, m, sub):
     return entries
 
 
+def bfs_class_labels(space):
+    """Class numbers of every key of a window by a plain BFS under AGL's
+    default generators, orbits numbered by their smallest key."""
+    from rmcover import agl_generators
+
+    gens = agl_generators(space.m)
+    labels = [-1] * (1 << space.dim)
+    n_classes = 0
+    for key in range(len(labels)):
+        if labels[key] >= 0:
+            continue
+        labels[key] = n_classes
+        queue = deque([key])
+        while queue:
+            f = space.function(queue.popleft())
+            for g in gens:
+                image = q_apply_affine(f, g).key
+                if labels[image] < 0:
+                    labels[image] = n_classes
+                    queue.append(image)
+        n_classes += 1
+    return labels
+
+
 def closure_keys(gens, m):
     ident = identity(m)
     seen = {(ident.rows, ident.trans)}
@@ -109,14 +133,13 @@ class TestOrbitEnumerate:
         rng = random.Random(0)
         for _ in range(50):
             key = rng.randrange(1 << space.dim)
-            cls = int(oracle234.lookup[key])
-            rep = oracle234.rep_function(cls)
+            cls = int(oracle234.classes_of([key])[0])
             # the representative is the smallest key in the orbit
             assert oracle234.reps[cls] <= key
             s = random_affine(4, rng)
             moved = q_apply_affine(space.function(key), s)
-            assert int(oracle234.lookup[moved.key]) == cls
-        assert int(oracle234.lookup[0]) == 0
+            assert class_of(moved, oracle234) == cls
+        assert int(oracle234.classes_of([0])[0]) == 0
 
     def test_space_guard(self):
         with pytest.raises(SpaceTooLargeError):
@@ -259,17 +282,15 @@ class TestCoverSets:
         assert cover.size == sub123.n_classes * (1 << quotient_space(2, 3, 3).dim)
 
     def test_initial_cover_property(self, sub123, oracle234):
-        hit = {
-            int(oracle234.lookup[k])
-            for k in initial_cover_set(2, 3, 4, sub123).assembled(sub123)
-        }
+        keys = list(initial_cover_set(2, 3, 4, sub123).assembled(sub123))
+        hit = set(oracle234.classes_of(keys).tolist())
         assert hit == set(range(oracle234.n_classes))
 
     def test_reduced_cover_property(self, sub123, oracle234):
         red = reduce_cover_set(2, 3, 4, sub123)
         keys = list(red.assembled(sub123))
         assert len(keys) == red.size <= initial_cover_set(2, 3, 4, sub123).size
-        hit = {int(oracle234.lookup[k]) for k in keys}
+        hit = set(oracle234.classes_of(keys).tolist())
         assert hit == set(range(oracle234.n_classes))
 
     def test_assembled_keys_of_the_m6_covers(self, oracle235):
@@ -298,7 +319,7 @@ class TestCoverSets:
             initial_cover_set(2, 2, 3, sub112),
             reduce_cover_set(2, 2, 3, sub112),
         ):
-            hit = {int(oracle223.lookup[k]) for k in cover.assembled(sub112)}
+            hit = set(oracle223.classes_of(list(cover.assembled(sub112))).tolist())
             assert hit == set(range(oracle223.n_classes))
 
         sub012 = orbit_enumerate(0, 1, 2)
@@ -307,7 +328,7 @@ class TestCoverSets:
             initial_cover_set(1, 2, 3, sub012),
             reduce_cover_set(1, 2, 3, sub012),
         ):
-            hit = {int(oracle123.lookup[k]) for k in cover.assembled(sub012)}
+            hit = set(oracle123.classes_of(list(cover.assembled(sub012))).tolist())
             assert hit == set(range(oracle123.n_classes))
 
     def test_stabilizer_moves_stay_in_orbit(self, sub123, oracle234):
@@ -324,14 +345,14 @@ class TestCoverSets:
             for _ in range(10):
                 h = h_space.function(rng.randrange(1 << h_space.dim))
                 base = compose_decomposition(g_fn, h)
-                base_cls = int(oracle234.lookup[base.key])
+                base_cls = class_of(base, oracle234)
                 for u in stab:
                     moved = compose_decomposition(g_fn, q_apply_affine(h, u))
-                    assert int(oracle234.lookup[moved.key]) == base_cls
+                    assert class_of(moved, oracle234) == base_cls
                 for i in range(3):
                     shift = multiply_affine_form(1 << (1 << i), g_fn, 2, 3)
                     moved = compose_decomposition(g_fn, h ^ shift)
-                    assert int(oracle234.lookup[moved.key]) == base_cls
+                    assert class_of(moved, oracle234) == base_cls
 
     def test_reduction_equals_orbit_minima(self, sub123, sub124):
         # the walk on V/T must emit exactly the orbit minima over all of V,
@@ -415,18 +436,40 @@ class TestClassOf:
             moved = q_apply_affine(oracle234.rep_function(i), random_affine(4, rng))
             assert class_of(moved, oracle234) == i
 
-    def test_window_too_large_for_lookup_refuses(self, oracle234):
-        # without a lookup the window attaches it by BFS; one too large for
-        # that refuses
+    def test_window_too_large_for_its_bfs_refuses(self, oracle234):
+        # without a Schreier vector the window attaches it by BFS; one too
+        # large for that refuses
         import copy
 
         blind = copy.copy(oracle234)
-        blind.lookup = None
-        blind.ensure_lookup = lambda **kw: (_ for _ in ()).throw(
+        blind.schreier = None
+        blind.ensure_schreier = lambda **kw: (_ for _ in ()).throw(
             SpaceTooLargeError("simulated oversize window")
         )
         with pytest.raises(SpaceTooLargeError):
             class_of(oracle234.rep_function(0), blind)
+
+    @pytest.mark.parametrize("fixture", ["sub123", "sub124", "sub224", "oracle234"])
+    def test_walk_back_numbers_like_a_plain_bfs(self, fixture, request):
+        cls = request.getfixturevalue(fixture)
+        keys = np.arange(1 << cls.space.dim)
+        assert cls.classes_of(keys).tolist() == bfs_class_labels(cls.space)
+
+    def test_walk_back_counts_the_orbits_of_b235(self, oracle235):
+        classes = oracle235.classes_of(np.arange(1 << oracle235.space.dim))
+        assert np.bincount(classes).tolist() == oracle235.orbit_sizes
+        assert oracle235.classes_of(oracle235.reps).tolist() == list(range(oracle235.n_classes))
+
+    def test_walk_ending_off_the_representatives_refused(self, oracle234):
+        # a Schreier vector that marks a non-representative as a start
+        import copy
+
+        key = next(k for k in range(1 << oracle234.space.dim) if k not in oracle234.reps)
+        broken = copy.copy(oracle234)
+        broken.schreier = oracle234.schreier.copy()
+        broken.schreier[key] = -2
+        with pytest.raises(RuntimeError, match=f"walks back to {key:#x}, not a representative"):
+            broken.classes_of([key])
 
 
 class TestPipeline:
@@ -542,8 +585,10 @@ class TestDrawnWalkGenerators:
         h_space = quotient_space(s, t, m - 1)
         for g_idx in range(sub.n_classes):
             basis = slice_translations(sub, g_idx, s, t)
-            maps = _slice_generators(sub, g_idx, h_space, basis)
+            checked = _slice_generators(sub, g_idx, h_space, basis)
+            maps = [u for u, _ in checked]
             assert maps == sub.stabilizer_gens[g_idx]
+            assert all(images == action_matrix(h_space, u) for u, images in checked)
             rep = sub.rep_function(g_idx)
             order = agl_order(m - 1) // sub.orbit_sizes[g_idx]
             chain = _StabilizerChain(m - 1, order)
@@ -656,7 +701,7 @@ class TestLabels:
         cover = reduce_cover_set(*params, sub)
         keys = np.array(list(cover.assembled(sub)))
         labels, _ = _labeler(space, sub, cover)(keys)
-        assert (oracle.lookup[keys[labels]] == oracle.lookup[keys][:, None]).all()
+        assert (oracle.classes_of(keys[labels]) == oracle.classes_of(keys)[:, None]).all()
 
     @pytest.mark.parametrize("params", [(2, 3, 5), (3, 4, 6)])
     def test_transport_reaches_the_representative(self, params, sub124, oracle235):
@@ -665,7 +710,7 @@ class TestLabels:
         # transporter T composed from the inverse generators on that path;
         # the base images of a map u, carried through the generators
         # themselves in homogeneous coordinates, come out as those of T^-1 o u
-        from rmcover.classify import _homogeneous, _labeler, _side_by_side, _walk_back
+        from rmcover.classify import _homogeneous, _labeler, _side_by_side
         from rmcover.group import base_images
 
         sub = {(2, 3, 5): sub124, (3, 4, 6): oracle235}[params]
@@ -675,27 +720,23 @@ class TestLabels:
         rng = random.Random(7)
         gs = [rng.randrange(1 << sub.space.dim) for _ in range(40)]
         hs = [rng.randrange(1 << h_space.dim) for _ in range(40)]
-        ends, carried, _ = _walk_back(
-            lab.schreier, lab.g_back, np.array(gs), carry=(lab.h_back, np.array(hs))
-        )
+        classes, carried, _ = sub.walk_back(np.array(gs), carry=(lab.h_back, np.array(hs)))
         gens = sub.walk_generators()
         k = sub.space.m
         us = [random_affine(k, rng) for _ in gs]
         bases = np.array([b | 1 << k for u in us for b in base_images(u)])
         homogeneous = _side_by_side([_homogeneous(u) for u in gens], k + 1)
-        _, images, _ = _walk_back(
-            lab.schreier, lab.g_back, np.repeat(gs, k + 1), carry=(homogeneous, bases)
-        )
+        repeated, images, _ = sub.walk_back(np.repeat(gs, k + 1), carry=(homogeneous, bases))
+        assert repeated.tolist() == np.repeat(classes, k + 1).tolist()
         images = (images & ((1 << k) - 1)).reshape(len(gs), k + 1).tolist()
-        assert ends.tolist() == [sub.reps[int(sub.lookup[g])] for g in gs]
-        walked = zip(gs, hs, us, ends.tolist(), carried.tolist(), images)
-        for g, h, u, end, h_end, u_end in walked:
+        walked = zip(gs, hs, us, classes.tolist(), carried.tolist(), images)
+        for g, h, u, cls, h_end, u_end in walked:
             transporter = identity(k)
-            while lab.schreier[g] >= 0:
-                step = invert(gens[lab.schreier[g]])
+            while sub.schreier[g] >= 0:
+                step = invert(gens[sub.schreier[g]])
                 g = q_apply_affine(sub.space.function(g), step).key
                 transporter = compose(transporter, step)
-            assert g == end
+            assert g == sub.reps[cls]
             assert q_apply_affine(h_space.function(h), transporter).key == h_end
             assert u_end == list(base_images(compose(invert(transporter), u)))
 
@@ -724,15 +765,16 @@ class TestFiles:
         assert loaded.digest == oracle223.digest
         assert loaded.orbit_sizes == oracle223.orbit_sizes
         assert len(loaded.stabilizer_gens) == oracle223.n_classes
-        loaded.ensure_lookup()
-        assert (loaded.lookup == oracle223.lookup).all()
+        loaded.ensure_schreier()
+        assert (loaded.schreier == oracle223.schreier).all()
 
     def test_loaded_file_needs_no_preparation(self, sub123, oracle234, tmp_path):
-        # a loaded file numbers keys itself, attaching its lookup on first use
+        # a loaded file numbers keys itself, attaching its Schreier vector on
+        # first use
         path = tmp_path / "b123.cls"
         save_classification(sub123, str(path))
         loaded = load_classification(str(path))
-        assert loaded.lookup is None
+        assert loaded.schreier is None
         rng = random.Random(123)
         for i in range(sub123.n_classes):
             moved = q_apply_affine(sub123.rep_function(i), random_affine(3, rng))
@@ -839,26 +881,38 @@ class TestFiles:
         path.write_text(text.replace("R 0 1 0\n", "R 0 - 0\n"))
         assert load_classification(str(path)).orbit_sizes is None
 
-    def test_ensure_lookup_refuses_foreign_orbit_sizes(self, oracle234):
+    def test_stabilizers_of_some_classes_only_refused(self, sub123, tmp_path):
+        # with S lines for class 0 alone the other classes' stabilizers are
+        # unknown, so the file is refused rather than loaded half-stabilized
+        path = tmp_path / "c.cls"
+        save_classification(sub123, str(path))
+        lines = path.read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("S ") or line.startswith("S 0 ")]
+        assert len(kept) < len(lines) and any(line.startswith("S 0 ") for line in kept)
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(ValueError, match="c.cls: S lines for some classes but not for class 1$"):
+            load_classification(str(path))
+
+    def test_ensure_schreier_refuses_foreign_orbit_sizes(self, oracle234):
         import copy
 
         swapped = copy.copy(oracle234)
-        swapped.lookup = None
+        swapped.schreier = None
         swapped.orbit_sizes = oracle234.orbit_sizes[:]
         swapped.orbit_sizes[1:3] = swapped.orbit_sizes[2:0:-1]
         assert sum(swapped.orbit_sizes) == 1 << oracle234.space.dim
         with pytest.raises(ValueError, match="orbit sizes"):
-            swapped.ensure_lookup()
-        assert swapped.lookup is None
+            swapped.ensure_schreier()
+        assert swapped.schreier is None
 
-    def test_ensure_lookup_refuses_foreign_numbering(self, oracle223, tmp_path):
+    def test_ensure_schreier_refuses_foreign_numbering(self, oracle223, tmp_path):
         import copy
 
         shuffled = copy.copy(oracle223)
-        shuffled.lookup = None
+        shuffled.schreier = None
         shuffled.reps = list(reversed(oracle223.reps))
-        with pytest.raises(ValueError):
-            shuffled.ensure_lookup()
+        with pytest.raises(ValueError, match="different numbering"):
+            shuffled.ensure_schreier()
 
     def test_loader_fuzz_only_value_errors(self, oracle223, tmp_path):
         path = tmp_path / "c.cls"
@@ -886,7 +940,7 @@ class TestDegenerateWindows:
         cls = orbit_enumerate(4, 3, 4)
         assert cls.n_classes == 1
         assert cls.orbit_sizes == [1]
-        assert int(cls.lookup[0]) == 0
+        assert cls.classes_of([0]).tolist() == [0]
 
     def test_full_window_with_constants(self):
         # s = 0 keeps the constant monomial; AGL fixes the constants' classes

@@ -11,6 +11,7 @@ from rmcover import (
     anf_from_string,
     candidate_checking,
     class_map,
+    class_of,
     equivalent,
     orbit_enumerate,
     q_apply_affine,
@@ -256,7 +257,7 @@ class TestEquivalent:
             f = space.function(rng.randrange(1 << space.dim))
             g = space.function(rng.randrange(1 << space.dim))
             out = equivalent(f, g, sub123, iter_budget=4096, rng=rng)
-            same = int(oracle234.lookup[f.key]) == int(oracle234.lookup[g.key])
+            same = class_of(f, oracle234) == class_of(g, oracle234)
             if out.verdict == EQUIV:
                 assert same
                 assert q_apply_affine(f, out.witness) == g
@@ -302,7 +303,7 @@ class TestEquivalent:
             f = space.function(rng.randrange(1 << space.dim))
             g = space.function(rng.randrange(1 << space.dim))
             out = equivalent(f, g, sub224, iter_budget=4096, rng=rng)
-            same = int(oracle335.lookup[f.key]) == int(oracle335.lookup[g.key])
+            same = class_of(f, oracle335) == class_of(g, oracle335)
             if out.verdict == EQUIV:
                 assert same and q_apply_affine(f, out.witness) == g
             elif out.verdict == NOT_EQUIV:
