@@ -16,10 +16,8 @@ Leiterspiel (B. Schmalz, Bayreuther Math. Schr. 31, 1990).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
@@ -28,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import boolfun as bf
+from .common import SpaceTooLargeError, write_text_atomic
 from .group import (
     AffineTransformation,
     _StabilizerChain,
@@ -58,10 +57,6 @@ from .quotient import (
 
 DEFAULT_SPACE_GUARD = 1 << 26
 DEFAULT_INNER_GUARD = 1 << 24
-
-
-class SpaceTooLargeError(RuntimeError):
-    """The requested enumeration exceeds the configured guard."""
 
 
 def classification_digest(space: QuotientSpace, reps: Sequence[int]) -> str:
@@ -224,7 +219,7 @@ def _walk_orbit(tables: Sequence[np.ndarray], vector: np.ndarray, start: int) ->
         for k, tab in enumerate(tables):
             for index in blocks:
                 img = xor_lookup(tab, index)
-                fresh = img[vector[img] == _UNSEEN]
+                fresh = img.compress(vector.take(img) == _UNSEEN)
                 if fresh.size:
                     vector[fresh] = k
                     parts.append(fresh)
@@ -774,25 +769,6 @@ def _decode_affine(text: str, m: int) -> AffineTransformation:
     rows_text, _, trans_text = text.partition(";")
     rows = tuple(int(p, 16) for p in rows_text.split(","))
     return AffineTransformation(m, rows, int(trans_text or "0", 16))
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    """Replace the file at path with text, or leave it as it was.
-
-    The text goes to a temporary file in the same directory, which is synced
-    and then renamed over path; a write that fails partway removes the
-    temporary file and never truncates the previous one.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
 
 
 def save_classification(cls: Classification, path: str) -> None:

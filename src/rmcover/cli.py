@@ -2,6 +2,9 @@
 
 Every randomized run records its seed and the digest of its configuration;
 re-running with the same arguments reproduces the report byte for byte.
+The module imports only the standard library; each command imports the
+modules it runs, so ``oracle`` never loads the probe and ``--version``
+never loads numpy.
 """
 
 from __future__ import annotations
@@ -14,27 +17,12 @@ import sys
 from random import Random
 
 from . import __version__
-from . import boolfun as bf
-from .classify import (
+from .common import (
+    DEFAULT_ITER_BUDGET,
+    InfeasibleError,
     SpaceTooLargeError,
-    classify_pipeline,
-    load_classification,
-    orbit_enumerate,
-    save_classification,
     write_text_atomic,
 )
-from .equivalence import DEFAULT_ITER_BUDGET, EQUIV, equivalent
-from .invariant import class_maps, j_hat_signatures, j_signatures
-from .nonlinearity import (
-    InconsistentTableError,
-    InfeasibleError,
-    RadiusTable,
-    _ScanWalk,
-    bounds_propagate,
-    exact_nonlinearity,
-    scan_representatives,
-)
-from .quotient import QuotientSpace, quotient_space
 
 
 def _space_triple(text: str) -> tuple[int, int, int]:
@@ -72,6 +60,8 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 def _read_functions(path: str, m: int, convert=lambda f: f) -> list:
     """convert(f) of each function line of the file; a line that fails to
     parse or to convert is reported as path:line."""
+    from . import boolfun as bf
+
     out = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -85,9 +75,11 @@ def _read_functions(path: str, m: int, convert=lambda f: f) -> list:
     return out
 
 
-def _window_function(space: QuotientSpace, f: bf.BooleanFunction, name: str):
+def _window_function(space, f, name: str):
     """The element of the window whose ANF is that of f; refuses any f with
     a monomial outside the window's degrees."""
+    from . import boolfun as bf
+
     anf = bf.mobius_transform(f.tt, space.m)
     if anf & ~space.support:
         raise ValueError(f"{name} lies outside the window")
@@ -125,6 +117,8 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_oracle(args) -> int:
+    from .classify import orbit_enumerate, save_classification
+
     cls = orbit_enumerate(args.s, args.t, args.m)
     save_classification(cls, args.out)
     print(f"classes {cls.n_classes} -> {args.out}")
@@ -132,6 +126,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify_pipeline, load_classification, save_classification
+
     sub = load_classification(args.sub)
     cls, report = classify_pipeline(args.s, args.t, args.m, sub, jobs=args.jobs)
     save_classification(cls, args.out)
@@ -152,6 +148,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
+    from .classify import load_classification
+    from .invariant import class_maps, j_hat_signatures, j_signatures
+    from .quotient import quotient_space
+
     s, t, m = args.space
     sub = load_classification(args.sub)
     space = quotient_space(s, t, m)
@@ -171,6 +171,11 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from . import boolfun as bf
+    from .classify import load_classification
+    from .equivalence import EQUIV, equivalent
+    from .quotient import quotient_space
+
     s, t, m = args.space
     sub = load_classification(args.sub)
     space = quotient_space(s, t, m)
@@ -189,6 +194,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_nl_probe(args) -> int:
+    from .nonlinearity import _ScanWalk
+
     fns = _read_functions(args.infile, args.m)
     # the scan's chunked walk: each line is nl_probe on that function alone
     walk = _ScanWalk(
@@ -206,6 +213,8 @@ def _cmd_nl_probe(args) -> int:
 
 
 def _cmd_nl_exact(args) -> int:
+    from .nonlinearity import exact_nonlinearity
+
     fns = _read_functions(args.infile, args.m)
     lines = _report_header(args)
     for i, f in enumerate(fns):
@@ -216,6 +225,9 @@ def _cmd_nl_exact(args) -> int:
 
 
 def _cmd_nl_scan(args) -> int:
+    from .classify import load_classification
+    from .nonlinearity import scan_representatives
+
     reps = load_classification(args.reps)
     report = scan_representatives(
         args.k,
@@ -238,7 +250,9 @@ def _cmd_nl_scan(args) -> int:
     return 0
 
 
-def _parse_radius_table(path: str) -> RadiusTable:
+def _parse_radius_table(path: str):
+    from .nonlinearity import RadiusTable
+
     table = RadiusTable()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -265,6 +279,8 @@ def _parse_radius_table(path: str) -> RadiusTable:
 
 
 def _cmd_radius(args) -> int:
+    from .nonlinearity import bounds_propagate
+
     table = _parse_radius_table(args.table)
     closed = bounds_propagate(table)
     lines = _report_header(args)
@@ -385,13 +401,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        OSError,
-        SpaceTooLargeError,
-        InfeasibleError,
-        InconsistentTableError,
-    ) as exc:
+    # InconsistentTableError and SingularMatrixError are ValueErrors
+    except (ValueError, OSError, SpaceTooLargeError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

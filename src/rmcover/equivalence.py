@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boolfun import wht
+from .common import DEFAULT_ITER_BUDGET
 from .group import (
     AffineTransformation,
     SingularMatrixError,
@@ -37,8 +38,6 @@ from .quotient import QuotientFunction, delta_membership, q_apply_affine
 EQUIV = "Equiv"
 NOT_EQUIV = "NotEquiv"
 UNDEFINED = "Undefined"
-
-DEFAULT_ITER_BUDGET = 4096
 
 
 @dataclass(frozen=True)

@@ -287,15 +287,16 @@ class _StabilizerChain:
     from each point p to the point table of the inverse of a coset
     representative that maps base[i] to p, and one to the representative's
     base images.  Sifting is one dict lookup and m + 1 table reads a level.
-    Every Schreier generator of a level sifts through the levels below it,
-    so the group order is the product of the orbit lengths.
+    After ``add`` every Schreier generator of a level sifts through the
+    levels below it, so the group order is the product of the orbit
+    lengths; ``extend`` skips that check.
 
     ``order`` is the order of a group known to contain every element added,
     such as |AGL| / |orbit| for a stabilizer.  Each stored orbit lies in the
-    orbit of the generated group H, so the product of their lengths is at
-    most |H|, which is at most ``order``; once the product reaches it, the
-    chain is complete and ``add`` returns without visiting the Schreier
-    generators left over.
+    orbit of base[i] under the elements of the generated group H that fix
+    base[:i], so the product of their lengths is at most |H|, which is at
+    most ``order``; once the product reaches it, the chain is complete and
+    ``add`` returns without visiting the Schreier generators left over.
     """
 
     def __init__(self, m: int, order: int):
@@ -332,38 +333,60 @@ class _StabilizerChain:
         """Extend the group by g; False if g is in it."""
         return self.add_images(base_images(g))
 
-    def add_images(self, images: Sequence[int], level: int = 0) -> bool:
-        """Extend the group by the element with these base images, which
-        fixes base[:level]; False if it is in the group."""
+    def extend(self, images: Sequence[int], level: int = 0) -> Optional[int]:
+        """Keep the residue of the element with these base images, which
+        fixes base[:level], as a strong generator, without visiting
+        Schreier generators.
+
+        The residue fixes base[:j] for the level j whose orbit missed it, so
+        it joins the generators of levels 0 .. j, and each of those orbits
+        is closed under its generators, the new one's images of every point
+        and every generator's images of the new points.  An edge that
+        reaches a new point is marked checked: its Schreier generator is
+        the identity.  Returns j, or None when the element sifts through.
+        """
         images, j = self.sift(images, level)
         if j is None:
-            return False
+            return None
         table = point_table(images)
         for i in range(j + 1):
-            self.gens[i].append(table)
+            orbit, forward, gens = self.orbits[i], self._forward[i], self.gens[i]
+            gens.append(table)
+            old = len(orbit)
+            points = list(orbit)
+            for n, p in enumerate(points):  # grows as the orbit does
+                for k in range(len(gens) - 1 if n < old else 0, len(gens)):
+                    q = gens[k][p]
+                    if q not in orbit:
+                        x = [gens[k][b] for b in forward[p]]
+                        forward[q] = x
+                        orbit[q] = inverse_table(point_table(x))
+                        self._checked[i].add((p, k))
+                        points.append(q)
+        return j
+
+    def add_images(self, images: Sequence[int], level: int = 0) -> bool:
+        """Extend the group by the element with these base images, which
+        fixes base[:level], and sift every Schreier generator this leaves
+        unchecked; False if the element is in the group."""
+        j = self.extend(images, level)
+        if j is None:
+            return False
         # the order grows only with an orbit, here or in an extending nested add
         if self.order() == self.target:
             return True
         for i in range(j, -1, -1):
-            orbit, forward = self.orbits[i], self._forward[i]
-            gens, checked = self.gens[i], self._checked[i]
+            forward, gens, checked = self._forward[i], self.gens[i], self._checked[i]
             # a nested add may grow this level too; loop until every
             # (point, generator) pair has been visited
             while pending := [
-                (p, k) for p in orbit for k in range(len(gens)) if (p, k) not in checked
+                (p, k) for p in forward for k in range(len(gens)) if (p, k) not in checked
             ]:
                 for p, k in pending:
                     if (p, k) in checked:
                         continue
                     checked.add((p, k))
-                    gen = gens[k]
-                    x = [gen[b] for b in forward[p]]
-                    q = x[i]
-                    if q not in orbit:
-                        forward[q] = x
-                        orbit[q] = inverse_table(point_table(x))
-                    elif not self.add_images(x, i):
-                        continue
-                    if self.order() == self.target:
+                    x = [gens[k][b] for b in forward[p]]
+                    if self.add_images(x, i) and self.order() == self.target:
                         return True
         return True

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import boolfun as bf
 from .boolfun import BooleanFunction
+from .common import InfeasibleError
 from .group import gf2_rank, subset_tables, xor_lookup
 
 DEFAULT_ENUM_GUARD = 1 << 22
@@ -40,10 +41,6 @@ _SELECT = np.array(
 # packed truth-table bits per scan chunk, 16384 functions at m = 8: a scan
 # builds the truth tables of one chunk at a time
 _CHUNK_BITS = 1 << 22
-
-
-class InfeasibleError(RuntimeError):
-    """Exact computation is out of reach for these parameters."""
 
 
 def rm_dimension(k: int, m: int) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from rmcover import orbit_enumerate
+from rmcover.classify import orbit_enumerate
 
 
 @pytest.fixture(scope="session")
@@ -45,8 +45,7 @@ def fail_writes(monkeypatch):
     import builtins
     import errno
 
-    import rmcover.classify
-    import rmcover.cli
+    import rmcover.common
 
     class HalfWriter:
         def __init__(self, fh):
@@ -70,5 +69,4 @@ def fail_writes(monkeypatch):
         fh = builtins.open(file, mode, *args, **kwargs)
         return HalfWriter(fh) if "w" in mode else fh
 
-    for module in (rmcover.classify, rmcover.cli):
-        monkeypatch.setattr(module, "open", half_open, raising=False)
+    monkeypatch.setattr(rmcover.common, "open", half_open, raising=False)

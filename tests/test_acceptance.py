@@ -10,35 +10,27 @@ import random
 
 import pytest
 
-from rmcover import (
-    EQUIV,
-    NOT_EQUIV,
-    UNDEFINED,
-    BooleanFunction,
-    RadiusTable,
-    bounds_propagate,
-    class_map,
+from rmcover import boolfun as bf
+from rmcover.boolfun import BooleanFunction, dirac, mobius_transform, parse_function
+from rmcover.classify import (
     class_of,
     classify_pipeline,
-    covering_radius_exact,
-    dirac,
-    equivalent,
     initial_cover_set,
-    j_hat_signatures,
-    j_signatures,
-    mobius_transform,
-    nl_probe,
-    odd_weight_reduction,
     orbit_enumerate,
-    parse_function,
-    probe_batch,
-    q_apply_affine,
-    quotient_space,
-    random_affine,
     reduce_cover_set,
 )
-from rmcover import boolfun as bf
-from rmcover.group import matvec
+from rmcover.equivalence import EQUIV, NOT_EQUIV, equivalent
+from rmcover.group import matvec, random_affine
+from rmcover.invariant import class_map, j_hat_signatures, j_signatures
+from rmcover.nonlinearity import (
+    RadiusTable,
+    bounds_propagate,
+    covering_radius_exact,
+    nl_probe,
+    odd_weight_reduction,
+    probe_batch,
+)
+from rmcover.quotient import q_apply_affine, quotient_space
 
 QUINTIC_12_TERMS = (
     "abcef+acdef+abcdg+abdeg+abcfg+acdeh+abcfh+bdefh+bcdgh+abegh+adfgh+cefgh"
@@ -53,7 +45,7 @@ def report(criterion, ok, detail):
 
 class TestAcceptance:
     def test_c1_quintic_window_seven_vars(self):
-        from rmcover import class_of
+        from rmcover.classify import class_of
 
         cls = orbit_enumerate(5, 5, 7)
         ok = cls.n_classes == 4 and sum(cls.orbit_sizes) == 1 << 21
@@ -278,7 +270,8 @@ class TestAcceptance:
 
         # action associativity: exhaustive over the generator set at m=2,
         # randomized elements at m<=8
-        from rmcover import agl_generators, apply_affine, compose
+        from rmcover.boolfun import apply_affine
+        from rmcover.group import agl_generators, compose
 
         gens2 = agl_generators(2)
         for a in gens2:

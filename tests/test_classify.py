@@ -4,26 +4,28 @@ from collections import deque
 import numpy as np
 import pytest
 
-from rmcover import (
-    AffineTransformation,
-    SpaceTooLargeError,
-    agl_order,
+from rmcover.classify import (
     class_of,
     classify_pipeline,
-    compose,
-    identity,
     initial_cover_set,
-    invert,
     load_classification,
     orbit_enumerate,
-    q_apply_affine,
-    quotient_space,
-    random_affine,
     reduce_cover_set,
     save_classification,
 )
-from rmcover.group import _StabilizerChain
+from rmcover.common import SpaceTooLargeError
+from rmcover.group import (
+    AffineTransformation,
+    _StabilizerChain,
+    agl_order,
+    base_images,
+    compose,
+    identity,
+    invert,
+    random_affine,
+)
 from rmcover.invariant import class_maps
+from rmcover.quotient import q_apply_affine, quotient_space
 from search_pipeline import search_pipeline
 
 
@@ -59,7 +61,7 @@ def orbit_minima_reference(s, t, m, sub):
 def bfs_class_labels(space):
     """Class numbers of every key of a window by a plain BFS under AGL's
     default generators, orbits numbered by their smallest key."""
-    from rmcover import agl_generators
+    from rmcover.group import agl_generators
 
     gens = agl_generators(space.m)
     labels = [-1] * (1 << space.dim)
@@ -147,7 +149,7 @@ class TestOrbitEnumerate:
 
     def test_custom_generator_set_gives_same_partition(self, oracle234):
         # a redundant generating set must reproduce representatives and sizes
-        from rmcover import agl_generators, compose, transvection
+        from rmcover.group import agl_generators, compose, transvection
 
         gens = agl_generators(4)
         gens = gens + [compose(gens[0], gens[1]), transvection(0b0001, 0b0110, 4)]
@@ -171,7 +173,7 @@ class TestStabilizers:
         # without the translation the walk generators span GL(3,2), whose
         # orbits split B(1,2,3) into 5 classes against 4: a random key of an
         # orbit walks back to another representative
-        from rmcover import agl_generators
+        from rmcover.group import agl_generators
 
         gens = agl_generators(3)[:-1]
         assert orbit_enumerate(1, 2, 3, gens, stabilizers=False).n_classes == 5
@@ -271,6 +273,30 @@ class TestStabilizerChain:
             assert (m, 1) in orders
             assert len({n for mm, n in orders if mm == m and 1 < n < agl_order(m)}) >= 2
 
+    def test_extend_alone_stays_within_the_group(self):
+        # a chain grown by extend alone, from a random walk over the
+        # generators, never counts more elements than the exact chain; once
+        # it reaches that order it answers membership as the exact chain does
+        rng = random.Random(29)
+        for m in (2, 3, 4):
+            for _ in range(12):
+                gens = self.subgroup_generators(m, rng)
+                exact = _StabilizerChain(m, agl_order(m))
+                for g in gens:
+                    exact.add(g)
+                chain = _StabilizerChain(m, exact.order())
+                x = identity(m)
+                for _ in range(400 if gens else 0):
+                    if chain.order() == exact.order():
+                        break
+                    x = compose(x, rng.choice(gens))
+                    chain.extend(base_images(x))
+                    assert chain.order() <= exact.order()
+                assert chain.order() == exact.order()
+                for _ in range(200):
+                    x = random_affine(m, rng)
+                    assert chain.contains(x) == exact.contains(x)
+
 
 class TestCoverSets:
     def test_initial_size_example(self, sub112):
@@ -334,8 +360,7 @@ class TestCoverSets:
     def test_stabilizer_moves_stay_in_orbit(self, sub123, oracle234):
         # moves h -> h o u (u in Stab(g)) and h -> h + alpha*g keep the
         # recomposition in one orbit
-        from rmcover import compose_decomposition
-        from rmcover.quotient import multiply_affine_form
+        from rmcover.quotient import compose_decomposition, multiply_affine_form
 
         rng = random.Random(1)
         h_space = quotient_space(2, 3, 3)
@@ -382,7 +407,7 @@ class TestCoverSets:
         # ac to bc, outside that span
         import copy
 
-        from rmcover import AffineTransformation
+        from rmcover.group import AffineTransformation
 
         assert repr(sub123.rep_function(1)) == "(1,2,3):a"
         swap = AffineTransformation(3, (0b010, 0b001, 0b100), 0)

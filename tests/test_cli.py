@@ -1,5 +1,9 @@
+import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +55,7 @@ class TestCli:
         s_lines = [line for line in sub.read_text().splitlines() if line.startswith("S ")]
         assert counters and int(counters[1]) == sum(not line.endswith(" -") for line in s_lines)
 
-        from rmcover import load_classification
+        from rmcover.classify import load_classification
 
         assert load_classification(str(result)).n_classes == 5
 
@@ -101,7 +105,8 @@ class TestCli:
         assert "# seed 3" in out
 
     def test_nl_probe_shares_one_walk(self, tmp_path, capsys):
-        from rmcover import nl_probe, parse_function
+        from rmcover.boolfun import parse_function
+        from rmcover.nonlinearity import nl_probe
 
         # the pass of each first hit depends on the walk's seed (passes 22, 8,
         # 14, 8 under seed 14), so a line probed under another seed shows
@@ -235,6 +240,71 @@ class TestCli:
         assert code == 2 and out == ""
         assert "stabilizer" in err
         assert not out_path.exists() and not report.exists()
+
+    def test_oversized_window_exits_2(self, tmp_path, capsys):
+        # SpaceTooLargeError: B(4,5,7) is past the oracle's BFS guard
+        out_path = tmp_path / "b457.cls"
+        code, out, err = run(
+            ["oracle", "--s", "4", "--t", "5", "--m", "7", "--out", str(out_path)], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: window has 2^56 elements")
+        assert not out_path.exists()
+
+    def test_infeasible_exact_nonlinearity_exits_2(self, tmp_path, capsys):
+        # InfeasibleError: RM(3,8) is too large to enumerate
+        fns = tmp_path / "fns.txt"
+        fns.write_text("abcdefgh\n")
+        code, out, err = run(
+            ["nl", "exact", "--k", "3", "--m", "8", "--in", str(fns)], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: RM(3,8) has 2^93 codewords")
+
+    def test_commands_load_only_the_modules_they_run(self, tmp_path):
+        # a fresh interpreter imports the CLI without numpy; the oracle and
+        # classify run load neither the probe, the search nor the pool, the
+        # scan loads no search, and a report written by nl exact (in an
+        # interpreter of its own) loads no classification module
+        script = """if True:
+            import json, sys
+            import rmcover.cli
+            assert "numpy" not in sys.modules
+            seen = []
+            for argv in json.loads(sys.argv[1]):
+                assert rmcover.cli.main(argv) == 0
+                seen.append(sorted(m for m in sys.modules if m.startswith("rmcover.")))
+            print(json.dumps(seen))
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def loaded(*commands):
+            done = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(commands)], cwd=tmp_path, env=env,
+                capture_output=True, text=True, check=True,
+            )
+            return json.loads(done.stdout.splitlines()[-1])
+
+        _, classify, scan = loaded(
+            ["oracle", "--s", "1", "--t", "2", "--m", "3", "--out", "b123.cls"],
+            ["classify", "run", "--s", "2", "--t", "3", "--m", "4",
+             "--sub", "b123.cls", "--out", "b234.cls", "--jobs", "1"],
+            ["nl", "scan", "--k", "1", "--limit", "4", "--reps", "b234.cls",
+             "--iter", "64", "--jobs", "1"],
+        )
+        assert "rmcover.classify" in classify
+        for module in ("nonlinearity", "equivalence", "parallel"):
+            assert f"rmcover.{module}" not in classify
+        assert "rmcover.nonlinearity" in scan
+        assert "rmcover.equivalence" not in scan
+
+        (tmp_path / "fns.txt").write_text("ab+c\n")
+        (exact,) = loaded(
+            ["nl", "exact", "--k", "1", "--m", "3", "--in", "fns.txt", "--out", "exact.rep"]
+        )
+        assert (tmp_path / "exact.rep").exists()
+        for module in ("classify", "quotient", "invariant"):
+            assert f"rmcover.{module}" not in exact
 
     def test_bad_jobs_environment_exits_2(self, tmp_path, capsys, monkeypatch):
         reps = tmp_path / "reps.cls"

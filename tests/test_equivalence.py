@@ -3,25 +3,28 @@ import random
 import numpy as np
 import pytest
 
-from rmcover import (
+from rmcover.boolfun import anf_degree, anf_from_string, mobius_transform, wht
+from rmcover.classify import class_of, orbit_enumerate
+from rmcover.equivalence import (
     EQUIV,
     NOT_EQUIV,
     UNDEFINED,
-    AffineTransformation,
-    anf_from_string,
+    admissible_mask,
     candidate_checking,
-    class_map,
-    class_of,
     equivalent,
-    orbit_enumerate,
-    q_apply_affine,
-    quotient_space,
-    random_affine,
-    wht,
+    sibling_masks,
+    top_degree_filter,
 )
-from rmcover.boolfun import anf_degree, mobius_transform
-from rmcover.equivalence import admissible_mask, sibling_masks, top_degree_filter
-from rmcover.group import SingularMatrixError, identity_rows, invert_rows, matvec
+from rmcover.group import (
+    AffineTransformation,
+    SingularMatrixError,
+    identity_rows,
+    invert_rows,
+    matvec,
+    random_affine,
+)
+from rmcover.invariant import class_map
+from rmcover.quotient import q_apply_affine, quotient_space
 
 
 def qf(text, s, t, m):
@@ -62,7 +65,7 @@ class TestCandidateChecking:
             assert q_apply_affine(f, AffineTransformation(4, s.rows, a)) == fp
 
     def test_singular_rejected(self):
-        from rmcover import SingularMatrixError
+        from rmcover.group import SingularMatrixError
 
         f = qf("abc", 2, 3, 4)
         with pytest.raises(SingularMatrixError):

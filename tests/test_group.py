@@ -4,31 +4,26 @@ from collections import deque
 import numpy as np
 import pytest
 
-from rmcover import (
+from rmcover.boolfun import BooleanFunction, apply_affine, derivative
+from rmcover.group import (
     AffineTransformation,
     SingularMatrixError,
     agl_generators,
     agl_order,
-    apply_affine,
-    compose,
-    derivative,
-    identity,
-    invert,
-    random_affine,
-    transvection,
-)
-from rmcover.boolfun import BooleanFunction
-from rmcover.group import (
     base_images,
+    compose,
     from_base_images,
     gf2_rank,
+    identity,
     inverse_table,
+    invert,
     invert_rows,
     mat_mul,
-    matvec,
     point_table,
+    random_affine,
     subset_tables,
     transpose_rows,
+    transvection,
     xor_lookup,
 )
 from rmcover.quotient import apply_key

@@ -3,23 +3,17 @@ import random
 import numpy as np
 import pytest
 
-from rmcover import (
-    anf_from_string,
+from rmcover.boolfun import anf_from_string, derivative, mobius_transform, restrict, wht
+from rmcover.classify import orbit_enumerate
+from rmcover.group import matvec, random_affine, transpose_rows
+from rmcover.invariant import (
     class_map,
     class_maps,
-    derivative,
+    derived_keys,
     j_hat_signatures,
     j_signatures,
-    mobius_transform,
-    orbit_enumerate,
-    q_apply_affine,
-    quotient_space,
-    random_affine,
-    restrict,
-    wht,
 )
-from rmcover.group import matvec, transpose_rows
-from rmcover.invariant import derived_keys
+from rmcover.quotient import q_apply_affine, quotient_space
 
 # the order-4 quintic of the m = 8 acceptance test (C7)
 QUINTIC_12_TERMS = (

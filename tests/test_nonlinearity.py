@@ -4,32 +4,35 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rmcover import (
+from rmcover import nonlinearity, parallel
+from rmcover.boolfun import (
     BooleanFunction,
+    apply_affine,
+    degree,
+    dirac,
+    mobius_transform,
+    parse_function,
+    weight,
+)
+from rmcover.classify import orbit_enumerate
+from rmcover.group import gf2_rank, random_affine
+from rmcover.common import InfeasibleError
+from rmcover.nonlinearity import (
     InconsistentTableError,
-    InfeasibleError,
+    ProbeResult,
     RadiusTable,
     bounds_propagate,
     covering_radius_exact,
-    dirac,
     exact_nonlinearity,
     nl_probe,
     odd_weight_reduction,
-    orbit_enumerate,
-    parse_function,
     probe_batch,
-    random_affine,
     relative_rho,
     rm_dimension,
     rm_generator_matrix,
     scan_representatives,
     walsh_spectrum,
-    weight,
 )
-from rmcover import nonlinearity, parallel
-from rmcover.boolfun import apply_affine, degree, mobius_transform
-from rmcover.group import gf2_rank
-from rmcover.nonlinearity import ProbeResult
 
 BENT4 = "ab+cd"
 # the order-4 quintic of the m = 8 acceptance test (C7)

@@ -2,26 +2,20 @@ import random
 
 import pytest
 
-from rmcover import (
-    AnfPolynomial,
-    anf_from_string,
-    apply_affine,
-    compose,
+from rmcover import boolfun as bf
+from rmcover.boolfun import AnfPolynomial, anf_from_string, apply_affine, to_anf
+from rmcover.group import compose, identity, random_affine
+from rmcover.quotient import (
+    action_matrix,
     compose_decomposition,
     decompose,
     delta_membership,
     delta_space_basis,
-    dirac,
-    identity,
     parse_quotient,
     project,
     q_apply_affine,
     quotient_space,
-    random_affine,
-    to_anf,
 )
-from rmcover import boolfun as bf
-from rmcover.quotient import action_matrix
 
 
 def qf(text, s, t, m):
@@ -79,7 +73,7 @@ class TestAction:
 
     def test_action_exhaustive_small(self):
         # full group action axioms on the window (2,2,3)
-        from rmcover import agl_generators
+        from rmcover.group import agl_generators
 
         gens = agl_generators(3)
         space = quotient_space(2, 2, 3)
