@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from random import Random
 from typing import Iterable, Optional, Sequence
 
@@ -72,9 +71,9 @@ class Classification:
 
     Class indices are pinned by the representative order; the digest commits
     to that numbering and travels with every invariant signature derived
-    from it.  ``schreier`` is the Schreier vector of the window's BFS, by
-    index into ``walk_generators()``: a key walks back along it to its
-    class representative (``walk_back``).
+    from it.  ``walks`` are the window's BFS walks, one slice walked by
+    ``walk_generators()``: a key walks back along them to its class
+    representative (``walk_back``), and walk i is class i.
     """
 
     space: QuotientSpace
@@ -84,7 +83,7 @@ class Classification:
     provenance: str = ""
     generators: Optional[list[AffineTransformation]] = None
     digest: str = field(default="")
-    schreier: Optional[np.ndarray] = None
+    walks: Optional[Walks] = None
 
     def __post_init__(self):
         if not self.digest:
@@ -105,8 +104,9 @@ class Classification:
         return self.generators or agl_generators(self.space.m)
 
     def ensure_schreier(self) -> None:
-        """Rebuild the Schreier vector by BFS if it is missing."""
-        if self.schreier is not None:
+        """Rebuild the walks and their Schreier vector by BFS if they are
+        missing."""
+        if self.walks is not None:
             return
         rebuilt = orbit_enumerate(*self.space.params, self.walk_generators(), stabilizers=False)
         if rebuilt.reps != self.reps:
@@ -116,34 +116,17 @@ class Classification:
             )
         if self.orbit_sizes not in (None, rebuilt.orbit_sizes):
             raise ValueError("stored orbit sizes disagree with the BFS rebuild")
-        self.schreier = rebuilt.schreier
+        self.walks = rebuilt.walks
         self.orbit_sizes = rebuilt.orbit_sizes
 
-    @cached_property
-    def _back(self) -> np.ndarray:
-        """``_inverse_tables`` of the walk generators, the columns a walk
-        back reads."""
-        return _inverse_tables(self.space, self.walk_generators())
-
     def walk_back(self, keys, carry=None) -> tuple[np.ndarray, Optional[np.ndarray], int]:
-        """Walk window keys back along ``schreier`` to their representatives.
-
-        ``carry`` is (tables, keys) as for ``_walk_back``, one carried key a
-        window key.  Returns the class numbers (int64) in the keys' shape,
-        the carried keys (or None) and the longest walk back.  A
-        classification without a Schreier vector attaches it by BFS on first
-        use, which raises SpaceTooLargeError past the guard; a walk that ends
-        off the representatives raises RuntimeError.
+        """``Walks.walk_back`` of window keys: their class numbers (int64)
+        in the keys' shape, the carried keys (or None) and the longest walk
+        back.  A classification without walks attaches them by BFS on first
+        use, which raises SpaceTooLargeError past the guard.
         """
         self.ensure_schreier()
-        keys = np.asarray(keys, dtype=np.int64)
-        ends, carried, steps = _walk_back(self.schreier, self._back, keys.ravel(), carry=carry)
-        reps = np.array(self.reps, dtype=np.int64)
-        classes = np.searchsorted(reps, ends)
-        stray = ends[reps[np.minimum(classes, len(reps) - 1)] != ends]
-        if stray.size:
-            raise RuntimeError(f"key walks back to {int(stray[0]):#x}, not a representative")
-        return classes.reshape(keys.shape), carried, steps
+        return self.walks.walk_back(keys, carry=carry)
 
     def classes_of(self, keys) -> np.ndarray:
         """Class numbers (int64) of an array of window keys, in its shape."""
@@ -230,16 +213,6 @@ def _walk_orbit(tables: Sequence[np.ndarray], vector: np.ndarray, start: int) ->
     return size
 
 
-def _orbits(tables: Sequence[np.ndarray], vector: np.ndarray) -> tuple[list[int], list[int]]:
-    """Walk every orbit of the maps on the points of vector, smallest unseen
-    point first; return the starts and the orbit sizes."""
-    starts, sizes = [], []
-    for start in _unseen(vector):
-        sizes.append(_walk_orbit(tables, vector, start))
-        starts.append(start)
-    return starts, sizes
-
-
 def _side_by_side(columns: Sequence[Sequence[int]], dim: int) -> np.ndarray:
     """``subset_tables`` (groups, 256, maps) of linear maps on dim-bit keys,
     each given by its images of the basis keys, fewer rows reading as zero."""
@@ -265,39 +238,91 @@ def _inverse_tables(space: QuotientSpace, gens: Sequence[AffineTransformation]) 
     return _side_by_side([action_matrix(space, invert(g)) for g in gens], space.dim)
 
 
+@dataclass
+class Walks:
+    """Orbit walks over slices of points, recorded in one Schreier vector.
+
+    Point p of slice i sits at vector[offsets[i] + p].  Its entry is _START
+    at the start of a walk; otherwise it is the index k of the slice's map
+    that first reached it, and column columns[i] + k of the ``_side_by_side``
+    tables ``back`` holds that map's inverse.  ``offsets`` and ``columns``
+    end with the totals of points and maps.  ``starts`` holds the vector
+    positions of the walks' starts, which the walk order keeps increasing,
+    and ``sizes`` the walks' sizes.
+    """
+
+    vector: np.ndarray
+    offsets: np.ndarray
+    columns: np.ndarray
+    back: np.ndarray
+    starts: np.ndarray
+    sizes: list[int]
+
+    def walk_back(self, points, slices=0, carry=None):
+        """Walk points back to the starts of their walks, carrying keys along.
+
+        ``slices`` names the slice of each point, per point or shared.  Each
+        step moves every point not yet at a start by the inverse of the map
+        that reached it.  ``carry`` is (tables, keys), one carried key a
+        point: each step applies the same column of its tables to the
+        carried keys.  Returns the walk index of each point (int64, in the
+        points' shape), the carried keys (or None) and the number of steps,
+        the longest walk back among the points.  A walk back that ends off
+        the walks' starts raises RuntimeError.
+        """
+        points = np.array(points, dtype=np.int64)
+        shape = points.shape
+        points = points.ravel()
+        base = np.broadcast_to(self.offsets[slices], points.shape)
+        column = np.broadcast_to(self.columns[slices], points.shape)
+        carried = None if carry is None else carry[1].copy()
+        todo = np.arange(points.size)
+        for steps in itertools.count():
+            k = self.vector[base[todo] + points[todo]]
+            moving = k >= 0
+            todo, k = todo[moving], k[moving]
+            if not todo.size:
+                break
+            col = column[todo] + k
+            points[todo] = _column_images(self.back, points[todo], col)
+            if carry is not None:
+                carried[todo] = _column_images(carry[0], carried[todo], col)
+        ends = base + points
+        walks = np.searchsorted(self.starts, ends)
+        stray = np.flatnonzero(self.starts[np.minimum(walks, len(self.starts) - 1)] != ends)
+        if stray.size:
+            raise RuntimeError(
+                f"key walks back to {int(points[stray[0]]):#x}, not a representative"
+            )
+        return walks.reshape(shape), carried, steps
+
+
+def _walk_slices(slices: Sequence[tuple[int, list[np.ndarray], int]], back: np.ndarray) -> Walks:
+    """Walk every orbit of each slice's maps, slice by slice and smallest
+    unseen point first (``_walk_orbit``).
+
+    Each slice is (dim, tables, weight): its 2^dim points, the
+    ``subset_tables`` of its maps, and the weight by which a walk's size is
+    the number of points it visits.  ``back`` holds the ``_side_by_side``
+    inverses of the maps of all slices, in slice order.
+    """
+    offsets = np.cumsum([0] + [1 << dim for dim, _, _ in slices])
+    columns = np.cumsum([0] + [len(tables) for _, tables, _ in slices])
+    vector = _schreier_vector(int(offsets[-1]), max(len(tables) for _, tables, _ in slices))
+    starts, sizes = [], []
+    for lo, hi, (_, tables, weight) in zip(offsets.tolist(), offsets[1:].tolist(), slices):
+        points = vector[lo:hi]
+        for start in _unseen(points):
+            sizes.append(_walk_orbit(tables, points, start) * weight)
+            starts.append(lo + start)
+    return Walks(vector, offsets, columns, back, np.array(starts, dtype=np.int64), sizes)
+
+
 def _homogeneous(g: AffineTransformation) -> list[int]:
     """g as the linear map (x, 1) -> (g(x), 1) of F_2^(m+1): its images of
     the basis keys, bit m being the homogeneous coordinate."""
     images = base_images(g)
     return [b ^ images[0] for b in images[1:]] + [images[0] | 1 << g.m]
-
-
-def _walk_back(vector, tables, points, base=0, column=0, carry=None):
-    """Walk points back to the starts of their walks, carrying keys along.
-
-    Point p of a walk sits at vector[base + p], whose entry names the
-    generator k that reached it, and column column + k of ``tables`` holds
-    that generator's inverse; ``base`` and ``column`` are per point or
-    shared.  Each step moves every point not yet at a start.  ``carry`` is
-    (tables, keys): each step applies the same column of its tables to the
-    carried keys.  Returns the starts, the carried keys (or None) and the
-    number of steps, the longest walk back among the points.
-    """
-    points = points.copy()
-    base = np.broadcast_to(base, points.shape)
-    column = np.broadcast_to(column, points.shape)
-    carried = None if carry is None else carry[1].copy()
-    todo = np.arange(points.size)
-    for steps in itertools.count():
-        k = vector[base[todo] + points[todo]]
-        moving = k >= 0
-        todo, k = todo[moving], k[moving]
-        if not todo.size:
-            return points, carried, steps
-        col = column[todo] + k
-        points[todo] = _column_images(tables, points[todo], col)
-        if carry is not None:
-            carried[todo] = _column_images(carry[0], carried[todo], col)
 
 
 # --- exact orbit enumeration ------------------------------------------------
@@ -309,39 +334,34 @@ def orbit_enumerate(
     m: int,
     generators: Optional[Sequence[AffineTransformation]] = None,
     *,
-    space_guard: int = DEFAULT_SPACE_GUARD,
     stabilizers: bool = True,
 ) -> Classification:
     """Exact classification of a window by BFS over all of its elements.
 
     Representatives are the smallest key of each orbit, listed in increasing
-    order, so the numbering is deterministic.  Returns them with the
-    Schreier vector of the BFS and, with ``stabilizers``,
+    order, so the numbering is deterministic.  Returns them with the BFS
+    walks, one slice walked by the generators, and, with ``stabilizers``,
     irredundant generators of the stabilizer of every representative,
-    sampled by walks back along that vector (``_stabilizer_elements``) with
+    sampled by walks back along them (``_stabilizer_elements``) with
     the class index as seed.
     """
     space = quotient_space(s, t, m)
-    n = 1 << space.dim
-    if n > space_guard:
+    if 1 << space.dim > DEFAULT_SPACE_GUARD:
         raise SpaceTooLargeError(
-            f"window has 2^{space.dim} elements, guard allows {space_guard}"
+            f"window has 2^{space.dim} elements, guard allows {DEFAULT_SPACE_GUARD}"
         )
     gens = list(generators) if generators is not None else agl_generators(m)
-    images_per_gen = [action_matrix(space, g) for g in gens]
     tables = [
-        subset_tables(np.array(images, dtype=np.int64), 8) for images in images_per_gen
+        subset_tables(np.array(action_matrix(space, g), dtype=np.int64), 8) for g in gens
     ]
-
-    schreier = _schreier_vector(n, len(gens))
-    reps, sizes = _orbits(tables, schreier)
+    walks = _walk_slices([(space.dim, tables, 1)], _inverse_tables(space, gens))
     cls = Classification(
         space=space,
-        reps=reps,
-        orbit_sizes=sizes,
+        reps=walks.starts.tolist(),
+        orbit_sizes=walks.sizes,
         provenance=f"oracle-bfs gens={len(gens)}",
         generators=gens,
-        schreier=schreier,
+        walks=walks,
     )
     if stabilizers:
         carry = _side_by_side([_homogeneous(g) for g in gens], m + 1)
@@ -349,7 +369,7 @@ def orbit_enumerate(
             _irredundant(
                 m, agl_order(m) // size, _stabilizer_elements(cls, carry, idx, Random(idx))
             )
-            for idx, size in enumerate(sizes)
+            for idx, size in enumerate(walks.sizes)
         ]
     return cls
 
@@ -408,37 +428,22 @@ def _stabilizer_elements(cls, carry, idx, rng) -> Iterable[list[int]]:
 
 
 @dataclass
-class CoverWalks:
-    """The V/T walks behind a reduced cover, one slice per lower class.
-
-    Point p of slice i is a coset of V/T_i, at vector[offsets[i] + p], and
-    ``starts`` holds the vector positions of the walks' starts in entry
-    order.  Column i of the ``_side_by_side`` tables ``reduce`` sends an h
-    key to its point of slice i, column gen_base[i] + k of ``back`` holds
-    the inverse of slice i's generator k on V/T_i, gen_base[-1] counts the
-    generators of all slices, and ``sizes`` are the entries' P-orbit sizes.
-    """
-
-    vector: np.ndarray
-    offsets: np.ndarray
-    starts: np.ndarray
-    reduce: np.ndarray
-    back: np.ndarray
-    gen_base: np.ndarray
-    sizes: list[int]
-
-
-@dataclass
 class CoverSet:
-    """Entries (g class index, h key) whose recompositions meet every orbit;
-    a reduced cover keeps the walks that found its entries."""
+    """Entries (g class index, h key) whose recompositions meet every orbit.
+
+    A reduced cover keeps the walks that found its entries, one slice V/T_i
+    per lower class i, walk j being entry j and its size the entry's
+    P-orbit size, and the ``_side_by_side`` tables ``reduce``, whose column
+    i sends an h key to its point of slice i.
+    """
 
     s: int
     t: int
     m: int
     size: int
     entries: Iterable[tuple[int, int]]
-    walks: Optional[CoverWalks] = None
+    walks: Optional[Walks] = None
+    reduce: Optional[np.ndarray] = None
 
     def assembled(self, sub: Classification) -> Iterable[int]:
         """Window keys of the entries: x_m * g + h is the key join of
@@ -487,8 +492,8 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
     translations span a subspace T that every u maps into itself, so the
     orbits are unions of T-cosets and the walk runs on V/T: each coset is
     named by its smallest key, which has no pivot bit of T set, and numbered
-    densely by deleting those bits.  The walks record their Schreier
-    vectors in the cover's ``walks``.
+    densely by deleting those bits.  The cover keeps the walks, one slice
+    per class (``_walk_slices``).
 
     Stabilizer lists may come from a file, so each list is checked before
     its walk goes by it (``_slice_generators``).
@@ -504,7 +509,7 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
     if sub.orbit_sizes is None:
         sub.ensure_schreier()
 
-    frees, dims_t, forwards, backs, reduces = [], [], [], [], []
+    slices, frees, backs, reduces = [], [], [], []
     for g_idx in range(sub.n_classes):
         g_fn = sub.rep_function(g_idx)
         basis = gf2_echelon(
@@ -526,36 +531,17 @@ def reduce_cover_set(s: int, t: int, m: int, sub: Classification) -> CoverSet:
         for u, images in _slice_generators(sub, g_idx, h_space, basis):
             forward.append(subset_tables(np.array(on_cosets(images), dtype=np.int64), 8))
             backs.append(on_cosets(action_matrix(h_space, invert(u))))
+        slices.append((len(free), forward, sub.orbit_sizes[g_idx] << len(basis)))
         frees.append(free)
-        dims_t.append(len(basis))
-        forwards.append(forward)
         reduces.append([compress(gf2_reduce(1 << q, basis)) for q in range(h_space.dim)])
 
-    offsets = np.cumsum([0] + [1 << len(free) for free in frees])
-    gen_base = np.cumsum([0] + [len(forward) for forward in forwards])
-    vector = _schreier_vector(int(offsets[-1]), max(map(len, forwards)))
-    entries: list[tuple[int, int]] = []
-    starts: list[int] = []
-    sizes: list[int] = []
-    for g_idx, (free, forward) in enumerate(zip(frees, forwards)):
-        points = vector[offsets[g_idx] : offsets[g_idx + 1]]
-        for start, walked in zip(*_orbits(forward, points)):
-            entries.append(
-                (g_idx, sum(((start >> j) & 1) << q for j, q in enumerate(free)))
-            )
-            starts.append(int(offsets[g_idx]) + start)
-            sizes.append(sub.orbit_sizes[g_idx] * walked << dims_t[g_idx])
-
-    walks = CoverWalks(
-        vector=vector,
-        offsets=offsets[:-1],
-        starts=np.array(starts, dtype=np.int64),
-        reduce=_side_by_side(reduces, h_space.dim),
-        back=_side_by_side(backs, max(map(len, frees))),
-        gen_base=gen_base,
-        sizes=sizes,
-    )
-    return CoverSet(s, t, m, len(entries), entries, walks)
+    walks = _walk_slices(slices, _side_by_side(backs, max(map(len, frees))))
+    g_of = np.searchsorted(walks.offsets, walks.starts, side="right") - 1
+    entries = [
+        (g_idx, sum(((p >> j) & 1) << q for j, q in enumerate(frees[g_idx])))
+        for g_idx, p in zip(g_of.tolist(), (walks.starts - walks.offsets[g_of]).tolist())
+    ]
+    return CoverSet(s, t, m, len(entries), entries, walks, _side_by_side(reduces, h_space.dim))
 
 
 def _slice_generators(
@@ -635,15 +621,17 @@ class _Labeler:
     f = x_m * g + h moves within its P-orbit to x_m * rep_i + h' as g walks
     back to its class i in the lower window (``Classification.walk_back``)
     and h goes through the same inverse generators on the h window.  h'
-    then goes to its point of V/T_i, and the walk back from there ends at
-    the start of the entry whose P-orbit holds f.
+    then goes to its point of V/T_i, and the walk back from there in slice
+    i of the cover's walks ends at the start of the entry whose P-orbit
+    holds f.
     """
 
     h_dim: int
     directions: np.ndarray  # _side_by_side tables of the maps A_v
     sub: Classification  # the lower window
     h_back: np.ndarray  # its inverse walk generators on the h window
-    walks: CoverWalks
+    reduce: np.ndarray  # the cover's tables from h keys to V/T points
+    walks: Walks  # the cover's V/T walks
 
     def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
         """Entry labels, row i for keys[i] and column v - 1 for direction v,
@@ -651,11 +639,7 @@ class _Labeler:
         moved = xor_lookup(self.directions, _key_bytes(keys, len(self.directions))).ravel()
         g, h = moved >> self.h_dim, moved & ((1 << self.h_dim) - 1)
         cls, h, lower = self.sub.walk_back(g, carry=(self.h_back, h))
-        w = self.walks
-        point, _, cover = _walk_back(
-            w.vector, w.back, _column_images(w.reduce, h, cls), w.offsets[cls], w.gen_base[cls]
-        )
-        entry = np.searchsorted(w.starts, w.offsets[cls] + point)
+        entry, _, cover = self.walks.walk_back(_column_images(self.reduce, h, cls), cls)
         return entry.reshape(len(keys), self.directions.shape[2]), (lower, cover)
 
 
@@ -668,6 +652,7 @@ def _labeler(space: QuotientSpace, sub: Classification, cover: CoverSet) -> _Lab
         ),
         sub=sub,
         h_back=_inverse_tables(h_space, sub.walk_generators()),
+        reduce=cover.reduce,
         walks=cover.walks,
     )
 
@@ -751,7 +736,7 @@ def classify_pipeline(
         reduced_cover_size=cover.size,
         n_buckets=len(set(signatures)),
         n_classes=cls.n_classes,
-        walk_gens=int(cover.walks.gen_base[-1]),
+        walk_gens=int(cover.walks.columns[-1]),
         depth_lower=depth_lower,
         depth_cover=depth_cover,
     )

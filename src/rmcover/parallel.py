@@ -2,7 +2,7 @@
 
 Tasks are small picklable payloads: chunks of cover keys, or index ranges of
 a probe scan.  The function applied to them carries the shared read-only
-state (the lower window's Schreier vector and the walks behind a cover;
+state (the lower window's walks and the cover's V/T walks;
 the scan's lifts and probe parameters) and reaches each worker once,
 through the pool initializer.
 """
@@ -32,8 +32,8 @@ def resolve_buckets_parallel(label, chunks, jobs):
     """Label chunks of cover keys across a pool, in order.
 
     ``label`` maps an array of cover keys to their rows of P-orbit labels.
-    It carries the lower window's Schreier vector and the cover's
-    walks, built by the parent, so the workers never rebuild them.
+    It carries the lower window's walks and the cover's V/T walks, built
+    by the parent, so the workers never rebuild them.
     """
     return _pool_map(label, chunks, jobs)
 

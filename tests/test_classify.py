@@ -143,9 +143,10 @@ class TestOrbitEnumerate:
             assert class_of(moved, oracle234) == cls
         assert int(oracle234.classes_of([0])[0]) == 0
 
-    def test_space_guard(self):
+    def test_space_guard(self, monkeypatch):
+        monkeypatch.setattr("rmcover.classify.DEFAULT_SPACE_GUARD", 1 << 10)
         with pytest.raises(SpaceTooLargeError):
-            orbit_enumerate(2, 3, 5, space_guard=1 << 10)
+            orbit_enumerate(2, 3, 5)
 
     def test_custom_generator_set_gives_same_partition(self, oracle234):
         # a redundant generating set must reproduce representatives and sizes
@@ -467,7 +468,7 @@ class TestClassOf:
         import copy
 
         blind = copy.copy(oracle234)
-        blind.schreier = None
+        blind.walks = None
         blind.ensure_schreier = lambda **kw: (_ for _ in ()).throw(
             SpaceTooLargeError("simulated oversize window")
         )
@@ -491,10 +492,25 @@ class TestClassOf:
 
         key = next(k for k in range(1 << oracle234.space.dim) if k not in oracle234.reps)
         broken = copy.copy(oracle234)
-        broken.schreier = oracle234.schreier.copy()
-        broken.schreier[key] = -2
+        broken.walks = copy.copy(oracle234.walks)
+        broken.walks.vector = oracle234.walks.vector.copy()
+        broken.walks.vector[key] = -2
         with pytest.raises(RuntimeError, match=f"walks back to {key:#x}, not a representative"):
             broken.classes_of([key])
+
+    def test_cover_walk_ending_off_its_entries_refused(self):
+        # a V/T Schreier vector that marks a point reached by a walk as a
+        # start: the label pass walks back to it and refuses, as the lower
+        # window does
+        from rmcover.classify import _START, _labeler
+
+        sub = orbit_enumerate(1, 2, 4)
+        cover = reduce_cover_set(2, 3, 5, sub)
+        keys = np.array(list(cover.assembled(sub)))
+        point = int(np.flatnonzero(cover.walks.vector >= 0)[0])
+        cover.walks.vector[point] = _START
+        with pytest.raises(RuntimeError, match="walks back to 0x[0-9a-f]+, not a representative"):
+            _labeler(quotient_space(2, 3, 5), sub, cover)(keys)
 
 
 class TestPipeline:
@@ -679,17 +695,17 @@ class TestDrawnWalkGenerators:
         ) == self.ORACLE_FILES[params]
 
 
+SEARCHED_WINDOWS = [
+    ((2, 2, 3), (1, 1, 2)),
+    ((2, 3, 4), (1, 2, 3)),
+    ((3, 4, 5), (2, 3, 4)),
+    ((2, 3, 6), (1, 2, 5)),
+    ((3, 4, 6), (2, 3, 5)),
+]
+
+
 class TestLabels:
-    @pytest.mark.parametrize(
-        "params, sub_params",
-        [
-            ((2, 2, 3), (1, 1, 2)),
-            ((2, 3, 4), (1, 2, 3)),
-            ((3, 4, 5), (2, 3, 4)),
-            ((2, 3, 6), (1, 2, 5)),
-            ((3, 4, 6), (2, 3, 5)),
-        ],
-    )
+    @pytest.mark.parametrize("params, sub_params", SEARCHED_WINDOWS)
     def test_labels_match_the_search(self, params, sub_params, oracle125, oracle235):
         # the search pipeline merges the same entries into the same classes:
         # the smallest key of each is the representative both ways
@@ -700,6 +716,24 @@ class TestLabels:
         assert (cls.reps, cls.digest) == (searched.reps, searched.digest)
         assert sum(cls.orbit_sizes) == 1 << cls.space.dim
         assert report.n_buckets <= cls.n_classes
+
+    @pytest.mark.parametrize("params, sub_params", SEARCHED_WINDOWS)
+    def test_lower_walk_is_the_lift_by_derivation(self, params, sub_params, oracle125, oracle235):
+        # the g-half of f o A_v is (D_v f) o A_v on a complement of v, which
+        # is affinely equivalent to restrict(D_v f, v): the lower walk of the
+        # label pass reads off every entry's class map
+        from rmcover.classify import _key_bytes, _labeler
+        from rmcover.group import xor_lookup
+
+        sub = {(1, 2, 5): oracle125, (2, 3, 5): oracle235}.get(sub_params)
+        sub = sub or orbit_enumerate(*sub_params)
+        space = quotient_space(*params)
+        cover = reduce_cover_set(*params, sub)
+        keys = list(cover.assembled(sub))
+        lab = _labeler(space, sub, cover)
+        moved = xor_lookup(lab.directions, _key_bytes(np.array(keys), len(lab.directions)))
+        lifted = sub.classes_of(moved >> lab.h_dim)
+        assert (lifted == class_maps(space, keys, sub)[:, 1:]).all()
 
     @pytest.mark.parametrize(
         "params, sub_params",
@@ -757,8 +791,8 @@ class TestLabels:
         walked = zip(gs, hs, us, classes.tolist(), carried.tolist(), images)
         for g, h, u, cls, h_end, u_end in walked:
             transporter = identity(k)
-            while sub.schreier[g] >= 0:
-                step = invert(gens[sub.schreier[g]])
+            while sub.walks.vector[g] >= 0:
+                step = invert(gens[sub.walks.vector[g]])
                 g = q_apply_affine(sub.space.function(g), step).key
                 transporter = compose(transporter, step)
             assert g == sub.reps[cls]
@@ -791,7 +825,7 @@ class TestFiles:
         assert loaded.orbit_sizes == oracle223.orbit_sizes
         assert len(loaded.stabilizer_gens) == oracle223.n_classes
         loaded.ensure_schreier()
-        assert (loaded.schreier == oracle223.schreier).all()
+        assert (loaded.walks.vector == oracle223.walks.vector).all()
 
     def test_loaded_file_needs_no_preparation(self, sub123, oracle234, tmp_path):
         # a loaded file numbers keys itself, attaching its Schreier vector on
@@ -799,7 +833,7 @@ class TestFiles:
         path = tmp_path / "b123.cls"
         save_classification(sub123, str(path))
         loaded = load_classification(str(path))
-        assert loaded.schreier is None
+        assert loaded.walks is None
         rng = random.Random(123)
         for i in range(sub123.n_classes):
             moved = q_apply_affine(sub123.rep_function(i), random_affine(3, rng))
@@ -922,19 +956,19 @@ class TestFiles:
         import copy
 
         swapped = copy.copy(oracle234)
-        swapped.schreier = None
+        swapped.walks = None
         swapped.orbit_sizes = oracle234.orbit_sizes[:]
         swapped.orbit_sizes[1:3] = swapped.orbit_sizes[2:0:-1]
         assert sum(swapped.orbit_sizes) == 1 << oracle234.space.dim
         with pytest.raises(ValueError, match="orbit sizes"):
             swapped.ensure_schreier()
-        assert swapped.schreier is None
+        assert swapped.walks is None
 
     def test_ensure_schreier_refuses_foreign_numbering(self, oracle223, tmp_path):
         import copy
 
         shuffled = copy.copy(oracle223)
-        shuffled.schreier = None
+        shuffled.walks = None
         shuffled.reps = list(reversed(oracle223.reps))
         with pytest.raises(ValueError, match="different numbering"):
             shuffled.ensure_schreier()
