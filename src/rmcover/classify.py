@@ -42,7 +42,7 @@ from .group import (
     transvection,
     xor_lookup,
 )
-from .invariant import class_maps, j_hat_signatures
+from .invariant import j_hat_signatures
 from .quotient import (
     QuotientFunction,
     QuotientSpace,
@@ -166,12 +166,14 @@ def _unseen(vector: np.ndarray) -> Iterable[int]:
 
 
 def _key_bytes(keys: np.ndarray, groups: int) -> list[np.ndarray]:
-    """Bytes 0 .. groups-1 of int64 keys, as views of the keys' memory.
+    """Bytes 0 .. groups-1 of integer keys, as views of the keys' memory.
 
-    A walk level hands the same views to every map, with no shifted or
-    masked copy of the frontier.
+    The keys keep their own width: 4 bytes for a walk level, 8 for the
+    labeler's window keys.  A walk level hands the same views to every map,
+    with no shifted or masked copy of the frontier.
     """
-    raw = keys.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    width = keys.dtype.itemsize
+    raw = keys.astype(f"<i{width}", copy=False).view(np.uint8).reshape(-1, width)
     return [raw[:, c] for c in range(groups)]
 
 
@@ -187,10 +189,12 @@ def _walk_orbit(tables: Sequence[np.ndarray], vector: np.ndarray, start: int) ->
     before the next map runs, so the frontier never holds a key twice.  A
     map reads the frontier in blocks of _WALK_BLOCK keys, which bounds its
     temporaries; its images of two blocks are disjoint, so the blocks change
-    nothing recorded.
+    nothing recorded.  A level holds its points as int32, narrowed as they
+    join it, which the guards allow: no slice has more than 2^26 points.
+    The tables stay int64, so the images index the vector at full width.
     """
     vector[start] = _START
-    frontier = np.array([start], dtype=np.int64)
+    frontier = np.array([start], dtype=np.int32)
     size = 1
     groups = len(tables[0]) if tables else 0
     while frontier.size:
@@ -205,11 +209,11 @@ def _walk_orbit(tables: Sequence[np.ndarray], vector: np.ndarray, start: int) ->
                 fresh = img.compress(vector.take(img) == _UNSEEN)
                 if fresh.size:
                     vector[fresh] = k
-                    parts.append(fresh)
+                    parts.append(fresh.astype(np.int32))
                     size += fresh.size
         # the level is freed before the next one is joined
         del frontier, blocks
-        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
     return size
 
 
@@ -623,7 +627,9 @@ class _Labeler:
     and h goes through the same inverse generators on the h window.  h'
     then goes to its point of V/T_i, and the walk back from there in slice
     i of the cover's walks ends at the start of the entry whose P-orbit
-    holds f.
+    holds f.  The g-half of f o A_v is (D_v f) o A_v on a complement of v,
+    affinely equivalent to restrict(D_v f, v), so class i is the class map
+    of f at v: the lower walk reads off the paper's lift by derivation.
     """
 
     h_dim: int
@@ -633,14 +639,16 @@ class _Labeler:
     reduce: np.ndarray  # the cover's tables from h keys to V/T points
     walks: Walks  # the cover's V/T walks
 
-    def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
-        """Entry labels, row i for keys[i] and column v - 1 for direction v,
-        and the longest walks back, on the lower window and on V/T."""
+    def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+        """Entry labels and lower classes, row i for keys[i] and column
+        v - 1 for direction v, and the longest walks back, on the lower
+        window and on V/T."""
         moved = xor_lookup(self.directions, _key_bytes(keys, len(self.directions))).ravel()
         g, h = moved >> self.h_dim, moved & ((1 << self.h_dim) - 1)
         cls, h, lower = self.sub.walk_back(g, carry=(self.h_back, h))
         entry, _, cover = self.walks.walk_back(_column_images(self.reduce, h, cls), cls)
-        return entry.reshape(len(keys), self.directions.shape[2]), (lower, cover)
+        shape = len(keys), self.directions.shape[2]
+        return entry.reshape(shape), cls.reshape(shape), (lower, cover)
 
 
 def _labeler(space: QuotientSpace, sub: Classification, cover: CoverSet) -> _Labeler:
@@ -680,7 +688,9 @@ def classify_pipeline(
     pass must map every entry to itself at direction e_m, and give all
     entries of a class the same label set.  A class is represented by its
     smallest key; its orbit size is the sum of its entries' P-orbit sizes.
-    The J-hat signatures bucket the entries for the report, and no class may
+    The same pass walks each entry's class map (the lower classes of
+    ``_Labeler``, with class 0 at direction 0, key 0 being its own orbit),
+    whose J-hat signatures bucket the entries for the report; no class may
     span two buckets.  The report counts the V/T walks' generators and the
     longest walks back of the label pass, which fewer generators make
     deeper.
@@ -691,10 +701,7 @@ def classify_pipeline(
     initial_size = initial_cover_set(s, t, m, sub).size
     sub.ensure_schreier()
     cover = reduce_cover_set(s, t, m, sub)
-    keys = list(cover.assembled(sub))
-    signatures = j_hat_signatures(class_maps(space, keys, sub), sub.digest)
-
-    keys = np.array(keys, dtype=np.int64)
+    keys = np.fromiter(cover.assembled(sub), dtype=np.int64, count=cover.size)
     label = _labeler(space, sub, cover)
     if jobs > 1 and len(keys) > 1:
         from .parallel import resolve_buckets_parallel
@@ -702,8 +709,10 @@ def classify_pipeline(
         parts = resolve_buckets_parallel(label, np.array_split(keys, jobs), jobs)
     else:
         parts = [label(keys)]
-    labels = np.concatenate([part for part, _ in parts])
-    depth_lower, depth_cover = np.max([depths for _, depths in parts], axis=0).tolist()
+    labels = np.concatenate([part for part, _, _ in parts])
+    maps = np.concatenate([lower for _, lower, _ in parts])
+    signatures = j_hat_signatures(np.pad(maps, ((0, 0), (1, 0))), sub.digest)
+    depth_lower, depth_cover = np.max([depths for _, _, depths in parts], axis=0).tolist()
 
     if not np.array_equal(labels[:, (1 << (m - 1)) - 1], np.arange(len(keys))):
         raise RuntimeError("direction e_m moved a cover entry off its own P-orbit")

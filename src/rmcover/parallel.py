@@ -31,7 +31,8 @@ def _pool_map(fn, tasks, jobs):
 def resolve_buckets_parallel(label, chunks, jobs):
     """Label chunks of cover keys across a pool, in order.
 
-    ``label`` maps an array of cover keys to their rows of P-orbit labels.
+    ``label`` maps an array of cover keys to their rows of P-orbit labels
+    and of lower classes, with the longest walks back.
     It carries the lower window's walks and the cover's V/T walks, built
     by the parent, so the workers never rebuild them.
     """

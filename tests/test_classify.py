@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -157,6 +158,19 @@ class TestOrbitEnumerate:
         other = orbit_enumerate(2, 3, 4, gens, stabilizers=False)
         assert other.reps == oracle234.reps
         assert other.orbit_sizes == oracle234.orbit_sizes
+
+    def test_bfs_memory_stays_near_its_schreier_vector(self, oracle126):
+        # the 2^21 points of B(1,2,6) take one byte each in the Schreier
+        # vector; BFS levels of 32-bit points and the blocked lookups keep
+        # the walk's peak within a small multiple of it.  The fixture has
+        # already built the window's cached tables.
+        tracemalloc.start()
+        try:
+            orbit_enumerate(1, 2, 6, stabilizers=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * oracle126.walks.vector.nbytes, peak
 
 
 class TestStabilizers:
@@ -722,18 +736,48 @@ class TestLabels:
         # the g-half of f o A_v is (D_v f) o A_v on a complement of v, which
         # is affinely equivalent to restrict(D_v f, v): the lower walk of the
         # label pass reads off every entry's class map
-        from rmcover.classify import _key_bytes, _labeler
-        from rmcover.group import xor_lookup
+        from rmcover.classify import _labeler
 
         sub = {(1, 2, 5): oracle125, (2, 3, 5): oracle235}.get(sub_params)
         sub = sub or orbit_enumerate(*sub_params)
         space = quotient_space(*params)
         cover = reduce_cover_set(*params, sub)
         keys = list(cover.assembled(sub))
-        lab = _labeler(space, sub, cover)
-        moved = xor_lookup(lab.directions, _key_bytes(np.array(keys), len(lab.directions)))
-        lifted = sub.classes_of(moved >> lab.h_dim)
-        assert (lifted == class_maps(space, keys, sub)[:, 1:]).all()
+        _, lifted, _ = _labeler(space, sub, cover)(np.array(keys))
+        maps = class_maps(space, keys, sub)
+        assert (lifted == maps[:, 1:]).all()
+        assert (maps[:, 0] == 0).all()
+
+    @pytest.mark.parametrize("params, sub_params", SEARCHED_WINDOWS)
+    def test_buckets_match_the_derivative_route(self, params, sub_params, oracle125, oracle235):
+        # the pipeline buckets by the lower classes of its label pass; the
+        # derivative tables give as many J-hat signatures over the cover
+        # keys, and one for all entries of a class, an entry's class being
+        # the smallest key its labels reach
+        from rmcover.classify import _labeler
+        from rmcover.invariant import j_hat_signatures
+
+        sub = {(1, 2, 5): oracle125, (2, 3, 5): oracle235}.get(sub_params)
+        sub = sub or orbit_enumerate(*sub_params)
+        cls, report = classify_pipeline(*params, sub)
+        space = quotient_space(*params)
+        cover = reduce_cover_set(*params, sub)
+        keys = np.array(list(cover.assembled(sub)))
+        signatures = j_hat_signatures(class_maps(space, keys.tolist(), sub), sub.digest)
+        assert report.n_buckets == len(set(signatures))
+        labels, _, _ = _labeler(space, sub, cover)(keys)
+        reps = keys[labels].min(axis=1).tolist()
+        assert sorted(set(reps)) == cls.reps
+        bucket: dict = {}
+        for rep, sig in zip(reps, signatures):
+            assert bucket.setdefault(rep, sig) == sig
+
+    def test_pipeline_builds_no_derivative_tables(self, sub124):
+        from rmcover import invariant
+
+        invariant.derivative_tables.cache_clear()
+        classify_pipeline(2, 3, 5, sub124)
+        assert invariant.derivative_tables.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "params, sub_params",
@@ -759,7 +803,7 @@ class TestLabels:
         space = quotient_space(*params)
         cover = reduce_cover_set(*params, sub)
         keys = np.array(list(cover.assembled(sub)))
-        labels, _ = _labeler(space, sub, cover)(keys)
+        labels, _, _ = _labeler(space, sub, cover)(keys)
         assert (oracle.classes_of(keys[labels]) == oracle.classes_of(keys)[:, None]).all()
 
     @pytest.mark.parametrize("params", [(2, 3, 5), (3, 4, 6)])
